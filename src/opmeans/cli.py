@@ -35,12 +35,9 @@ from .means import SpdPair
 from .verify import (
     CHECK_NAMES,
     DEFAULT_NU_GRID,
+    DEFAULT_REL_TOL,
     SuiteConfig,
-    augmented_nu_grid,
-    check_baseline_reverses,
-    check_refined_chain,
-    check_reverse_difference,
-    check_reverse_ratio,
+    run_pair,
     run_suite,
 )
 
@@ -49,13 +46,6 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_CONJECTURE_WITNESS = 10
-
-_PAIR_CHECKS = (
-    ("refined_chain", check_refined_chain),
-    ("reverse_ratio", check_reverse_ratio),
-    ("reverse_difference", check_reverse_difference),
-    ("baseline_reverses", check_baseline_reverses),
-)
 
 _SCAN_CHOICES = (
     "all",
@@ -136,33 +126,8 @@ def _suite_csv_rows(doc):
 
 def _verify_pair_mode(args):
     start = time.perf_counter()
-    a = load_matrix(args.pair[0])
-    b = load_matrix(args.pair[1])
-    pair = SpdPair.from_matrices(a, b)
-    nu_grid = augmented_nu_grid(args.nu_grid, pair.h)
-    checks = []
-    violations_total = 0
-    for name, fn in _PAIR_CHECKS:
-        worst = float("inf")
-        worst_nu = None
-        violations = 0
-        for nu in nu_grid:
-            res = fn(pair, nu, rel_tol=args.rel_tol, index=0)
-            low = min(res.margins.values())
-            if low < worst:
-                worst = low
-                worst_nu = nu
-            if not res.passed:
-                violations += 1
-        violations_total += violations
-        checks.append(
-            {
-                "name": name,
-                "worst_margin": worst,
-                "worst_instance": {"seed": None, "index": 0, "dim": pair.n, "nu": worst_nu},
-                "violations": violations,
-            }
-        )
+    pair = SpdPair.from_matrices(load_matrix(args.pair[0]), load_matrix(args.pair[1]))
+    aggregates = run_pair(pair, args.nu_grid, args.rel_tol)
     doc = {
         "tool_version": __version__,
         "config": {
@@ -170,7 +135,7 @@ def _verify_pair_mode(args):
             "nu_grid": list(args.nu_grid),
             "rel_tol": args.rel_tol,
         },
-        "checks": checks,
+        "checks": [c.to_json_dict() for c in aggregates],
         "runtime_seconds": time.perf_counter() - start,
     }
     if args.format == "json":
@@ -181,7 +146,7 @@ def _verify_pair_mode(args):
             ["name", "worst_margin", "worst_seed", "worst_index", "worst_dim", "worst_nu", "violations"],
             args.out,
         )
-    return EXIT_VIOLATION if violations_total else EXIT_OK
+    return EXIT_VIOLATION if any(c.violations for c in aggregates) else EXIT_OK
 
 
 def cmd_verify(args):
@@ -342,7 +307,7 @@ def _build_parser():
     verify.add_argument(
         "--nu-grid", type=lambda s: _parse_float_list(s, "--nu-grid"), default=DEFAULT_NU_GRID
     )
-    verify.add_argument("--rel-tol", type=float, default=1e-8)
+    verify.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL)
     verify.add_argument(
         "--checks", type=lambda s: tuple(s.split(",")), default=CHECK_NAMES,
         help="comma-separated subset of: " + ",".join(CHECK_NAMES),

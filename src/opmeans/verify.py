@@ -17,9 +17,14 @@ Five checks are implemented:
 
 Reproducibility: instance k of check c draws from a fresh generator seeded
 with SeedSequence([seed, CHECK_IDS[c], k]), so results never depend on
-evaluation order.  run_suite evaluates margins through a batched Jacobi path;
-the per-instance check_* functions are the plain reference implementations of
-the same formulas.
+evaluation order.
+
+Every margin is computed by one batched kernel per kind of check: the pair
+kernel _pair_margins over a (P, n, n) pair stack and a (P, J) weight table,
+and the state-vector kernel _hm_margins.  run_suite feeds them generated
+chunks, run_pair one user-supplied pair over its whole augmented grid, and
+the per-instance check_* functions one instance at one weight.  Independent
+references live in the tests.
 """
 
 from __future__ import annotations
@@ -37,19 +42,10 @@ from .matrices import (
     _eigh_stack,
     _eigvals_min_stack,
     _INV_FLOOR_REL,
-    jacobi_eigen,
-    matrix_inverse,
-    operator_norm,
     MIN_DIM,
     MAX_DIM,
 )
-from .means import (
-    SpdPair,
-    refinement_bridge,
-    weighted_arithmetic,
-    weighted_geometric,
-    weighted_harmonic,
-)
+from .means import SpdPair, _require_nu
 from .scalar import critical_nu_diff, critical_nu_ratio, log_mean, specht_ratio
 
 __all__ = [
@@ -67,6 +63,7 @@ __all__ = [
     "check_baseline_reverses",
     "check_hm_refined",
     "run_suite",
+    "run_pair",
 ]
 
 CHECK_IDS = {
@@ -77,6 +74,7 @@ CHECK_IDS = {
     "holder_mccarthy": 5,
 }
 CHECK_NAMES = tuple(CHECK_IDS)
+PAIR_CHECK_NAMES = CHECK_NAMES[:4]
 
 DEFAULT_REL_TOL = 1e-8
 # The state-vector margins are scale-free quantities, so they carry their own
@@ -86,6 +84,17 @@ HM_ABS_TOL = 1e-10
 DEFAULT_NU_GRID = tuple(i / 20 for i in range(21))
 
 _CHUNK = 64
+
+
+def _validate_weights(nu_grid, rel_tol):
+    """The weight-grid and tolerance rules shared by suite and pair runs."""
+    for nu in nu_grid:
+        if not 0.0 <= nu <= 1.0:
+            raise ValueError(f"nu_grid entries must lie in [0, 1], got {nu}")
+    if not nu_grid:
+        raise ValueError("nu_grid must be nonempty")
+    if not rel_tol > 0.0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -113,13 +122,7 @@ class SuiteConfig:
                 raise ValueError(f"dims entries must be in [{MIN_DIM}, {MAX_DIM}], got {d}")
         if not 0.0 < self.m < self.big_m:
             raise ValueError(f"spectrum bounds must satisfy 0 < m < M, got m={self.m}, M={self.big_m}")
-        for nu in self.nu_grid:
-            if not 0.0 <= nu <= 1.0:
-                raise ValueError(f"nu_grid entries must lie in [0, 1], got {nu}")
-        if not self.nu_grid:
-            raise ValueError("nu_grid must be nonempty")
-        if self.rel_tol <= 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+        _validate_weights(self.nu_grid, self.rel_tol)
         for name in self.checks:
             if name not in CHECK_IDS:
                 raise ValueError(f"unknown check {name!r}; known: {sorted(CHECK_IDS)}")
@@ -173,6 +176,14 @@ class CheckAggregate:
     violations: int
     results: int
 
+    def to_json_dict(self):
+        return {
+            "name": self.name,
+            "worst_margin": self.worst_margin,
+            "worst_instance": dict(self.worst_instance),
+            "violations": self.violations,
+        }
+
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -199,15 +210,7 @@ class SuiteReport:
                 "rel_tol": self.config.rel_tol,
                 "checks": list(self.config.checks),
             },
-            "checks": [
-                {
-                    "name": c.name,
-                    "worst_margin": c.worst_margin,
-                    "worst_instance": dict(c.worst_instance),
-                    "violations": c.violations,
-                }
-                for c in self.checks
-            ],
+            "checks": [c.to_json_dict() for c in self.checks],
             "runtime_seconds": self.runtime_seconds,
         }
         if self.errors:
@@ -277,137 +280,13 @@ def augmented_nu_grid(base, h):
     return tuple(base) + extra
 
 
-# ---------------------------------------------------------------------------
-# Reference (per-instance) checks
-# ---------------------------------------------------------------------------
-
-def _result(check, dim, nu, margins, scale, tol, seed=None, index=None):
-    passed = min(margins.values()) >= -tol
-    return CheckResult(
-        check=check,
-        dim=dim,
-        nu=float(nu),
-        margins=margins,
-        scale=float(scale),
-        tol=float(tol),
-        passed=passed,
-        seed=seed,
-        index=index,
-    )
-
-
-def _pair_scale(pair):
-    return max(operator_norm(pair.a), operator_norm(pair.b))
-
-
-def check_refined_chain(pair: SpdPair, nu, rel_tol=DEFAULT_REL_TOL, seed=None, index=None) -> CheckResult:
-    """Margins of the four chain links plus the plain AM >= GM margin."""
-    nu = float(nu)
-    r = min(nu, 1.0 - nu)
-    am = weighted_arithmetic(pair, nu)
-    gm = weighted_geometric(pair, nu)
-    bridge = refinement_bridge(pair)
-    inv_pair = SpdPair.from_matrices(matrix_inverse(pair.a), matrix_inverse(pair.b))
-    gm_inv = weighted_geometric(inv_pair, nu)
-    bridge_inv = refinement_bridge(inv_pair)
-    refined_hm = matrix_inverse(gm_inv + (2.0 * r) * bridge_inv)
-    hm = weighted_harmonic(pair, nu)
-    bridge_min = float(jacobi_eigen(bridge).lam[0])
-    margins = {
-        "am_vs_refined_gm": float(jacobi_eigen(am - gm - (2.0 * r) * bridge).lam[0]),
-        "refined_gm_vs_gm": 2.0 * r * bridge_min,
-        "gm_vs_refined_hm": float(jacobi_eigen(gm - refined_hm).lam[0]),
-        "refined_hm_vs_hm": float(jacobi_eigen(refined_hm - hm).lam[0]),
-        "am_vs_gm": float(jacobi_eigen(am - gm).lam[0]),
-    }
-    scale = _pair_scale(pair)
-    return _result("refined_chain", pair.n, nu, margins, scale, rel_tol * scale, seed, index)
-
-
-def check_reverse_ratio(pair: SpdPair, nu, rel_tol=DEFAULT_REL_TOL, seed=None, index=None) -> CheckResult:
-    """Margin of S(sqrt(h)) GM >= AM - 2r*bridge with h from the certified bounds."""
-    nu = float(nu)
-    r = min(nu, 1.0 - nu)
-    s = specht_ratio(np.sqrt(pair.h))
-    lhs = s * weighted_geometric(pair, nu)
-    rhs = weighted_arithmetic(pair, nu) - (2.0 * r) * refinement_bridge(pair)
-    margins = {"reverse_ratio": float(jacobi_eigen(lhs - rhs).lam[0])}
-    scale = _pair_scale(pair)
-    return _result("reverse_ratio", pair.n, nu, margins, scale, rel_tol * scale, seed, index)
-
-
-def check_reverse_difference(pair: SpdPair, nu, rel_tol=DEFAULT_REL_TOL, seed=None, index=None) -> CheckResult:
-    """Margins of the scalar difference bounds against AM - GM - 2r*bridge.
-
-    Records both the h sqrt(M) L(sqrt(M), sqrt(m)) ln S(sqrt(h)) constant and
-    the tighter sqrt(h) L(sqrt(h), 1) ln S(sqrt(h)) ||A|| intermediate.
-    """
-    nu = float(nu)
-    r = min(nu, 1.0 - nu)
-    h = pair.h
-    root_h = np.sqrt(h)
-    log_s = float(np.log(specht_ratio(root_h)))
-    c_global = h * np.sqrt(pair.big_m) * log_mean(np.sqrt(pair.big_m), np.sqrt(pair.m)) * log_s
-    c_tight = root_h * log_mean(root_h, 1.0) * log_s * operator_norm(pair.a)
-    rhs = (
-        weighted_arithmetic(pair, nu)
-        - weighted_geometric(pair, nu)
-        - (2.0 * r) * refinement_bridge(pair)
-    )
-    rhs_max = float(jacobi_eigen(rhs).lam[-1])
-    margins = {
-        "reverse_difference": float(c_global) - rhs_max,
-        "reverse_difference_tight": float(c_tight) - rhs_max,
-    }
-    scale = _pair_scale(pair)
-    return _result("reverse_difference", pair.n, nu, margins, scale, rel_tol * scale, seed, index)
-
-
-def check_baseline_reverses(pair: SpdPair, nu, rel_tol=DEFAULT_REL_TOL, seed=None, index=None) -> CheckResult:
-    """Margins of S(h) GM >= AM and h L(m, M) ln S(h) I + GM >= AM."""
-    nu = float(nu)
-    h = pair.h
-    am = weighted_arithmetic(pair, nu)
-    gm = weighted_geometric(pair, nu)
-    s = specht_ratio(h)
-    diff_const = h * log_mean(pair.m, pair.big_m) * float(np.log(s))
-    eye = SymMatrix.identity(pair.n)
-    margins = {
-        "baseline_ratio": float(jacobi_eigen(s * gm - am).lam[0]),
-        "baseline_difference": float(jacobi_eigen(diff_const * eye + gm - am).lam[0]),
-    }
-    scale = _pair_scale(pair)
-    return _result("baseline_reverses", pair.n, nu, margins, scale, rel_tol * scale, seed, index)
-
-
-def check_hm_refined(a: SymMatrix, x: UnitVector, nu, seed=None, index=None) -> CheckResult:
-    """State-vector margins of the refined and plain power inequalities.
-
-    The refined margin is invariant under rescaling A, so it is evaluated on
-    the spectrum normalized by the largest eigenvalue; that keeps its roundoff
-    near machine precision for operands of any magnitude.
-    """
-    nu = float(nu)
-    if a.n != x.n:
-        raise ValueError(f"dimension mismatch: matrix {a.n} vs vector {x.n}")
-    r = min(nu, 1.0 - nu)
-    decomp = jacobi_eigen(a)
-    if decomp.lam[0] <= 0.0:
-        raise ValueError("matrix must be positive definite")
-    top = decomp.lam[-1]
-    lam_unit = decomp.lam / top
-    weights = (decomp.q.T @ x.coords) ** 2
-    q_lin = float(weights @ lam_unit)
-    q_nu = float(weights @ np.power(lam_unit, nu))
-    q_half = float(weights @ np.sqrt(lam_unit))
-    refined = (1.0 - q_lin ** (-nu) * q_nu) - r * (1.0 - q_half / np.sqrt(q_lin)) ** 2
-    baseline = top**nu * (q_lin**nu - q_nu)
-    margins = {"hm_refined": float(refined), "hm_baseline": float(baseline)}
-    return _result("holder_mccarthy", a.n, nu, margins, 1.0, HM_ABS_TOL, seed, index)
+def _nu_table(base, h):
+    """(P, J) weight table: the base grid plus the critical weights of each h."""
+    return np.array([augmented_nu_grid(base, float(hk)) for hk in h])
 
 
 # ---------------------------------------------------------------------------
-# Batched suite internals
+# Batched margin kernels
 # ---------------------------------------------------------------------------
 
 def _recon(q, lam):
@@ -486,51 +365,21 @@ class _Accumulator:
         )
 
 
-def _gen_chunk_pairs(cfg, check, dim, indices):
-    a_raw = []
-    b_raw = []
-    for k in indices:
-        rng = _rng_for(cfg.seed, check, k)
-        a_raw.append(_random_spd_array(dim, cfg.m, cfg.big_m, rng))
-        b_raw.append(_random_spd_array(dim, cfg.m, cfg.big_m, rng))
-    return np.stack(a_raw), np.stack(b_raw)
-
-
-def _pair_chunk_context(cfg, check, dim, indices):
-    """Generate and pre-diagonalize a chunk of pairs; returns a dict of stacks."""
-    a_raw, b_raw = _gen_chunk_pairs(cfg, check, dim, indices)
-    p = len(indices)
-    lam, q = _eigh_stack(np.concatenate([a_raw, b_raw]))
+def _diagonalize_pairs(a, b):
+    """Eigendecompositions of a (P, n, n) pair stack, in one eigensolve."""
+    p = len(a)
+    lam, q = _eigh_stack(np.concatenate([a, b]))
+    if lam[:, 0].min() <= 0.0:
+        raise SingularMatrixError("pair matrix is not positive definite")
     lam_a, lam_b = lam[:p], lam[p:]
-    q_a, q_b = q[:p], q[p:]
-    if lam_a[:, 0].min() <= 0.0 or lam_b[:, 0].min() <= 0.0:
-        raise SingularMatrixError("generated matrix is not positive definite")
-    m_hat = np.minimum(lam_a[:, 0], lam_b[:, 0])
-    big_m_hat = np.maximum(lam_a[:, -1], lam_b[:, -1])
-    h_hat = big_m_hat / m_hat
-
-    base = len(cfg.nu_grid)
-    nus = np.empty((p, base + 2))
-    nus[:, :base] = np.asarray(cfg.nu_grid)
-    for i in range(p):
-        nus[i, base:] = augmented_nu_grid((), float(h_hat[i]))
-    r = np.minimum(nus, 1.0 - nus)
-
     return {
-        "indices": indices,
-        "dim": dim,
-        "a": a_raw,
-        "b": b_raw,
+        "a": a,
+        "b": b,
         "lam_a": lam_a,
         "lam_b": lam_b,
-        "q_a": q_a,
-        "q_b": q_b,
-        "m_hat": m_hat,
-        "big_m_hat": big_m_hat,
-        "h_hat": h_hat,
-        "nus": nus,
-        "r": r,
-        "scale": big_m_hat,
+        "q_a": q[:p],
+        "q_b": q[p:],
+        "scale": np.maximum(lam_a[:, -1], lam_b[:, -1]),
     }
 
 
@@ -553,16 +402,23 @@ def _geometric_stacks(ctx, inverse_side=False):
     lam_t, q_t = _eigh_stack(middle)
     if lam_t[:, 0].min() < 0.0:
         lam_t = np.maximum(lam_t, 0.0)
-    nus_ext = np.concatenate([ctx["nus"], np.full((len(ctx["indices"]), 1), 0.5)], axis=1)
+    nus_ext = np.concatenate([ctx["nus"], np.full((len(ctx["nus"]), 1), 0.5)], axis=1)
     powered = _recon_powers(q_t, lam_t, nus_ext)
     gm_ext = np.einsum("pab,pjbc,pcd->pjad", outer, powered, outer)
     gm_ext = _sym4(gm_ext)
     return gm_ext[:, :-1], gm_ext[:, -1]
 
 
-def _eval_pair_chunk(cfg, check, dim, indices):
-    ctx = _pair_chunk_context(cfg, check, dim, indices)
-    nus, r = ctx["nus"], ctx["r"]
+def _pair_margins(check, ctx, m, big_m, nus, rel_tol, label):
+    """Margins (name -> (P, J)) and tolerances (P, 1) of one pair check.
+
+    ctx is a pair stack from _diagonalize_pairs; m and big_m (P,) are the
+    spectral bounds that set h and the reverse constants; nus is the (P, J)
+    weight table.  The tolerance is rel_tol times the larger operator norm of
+    A and B.  label(p) names instance p in error messages.
+    """
+    ctx = {**ctx, "nus": nus}
+    r = np.minimum(nus, 1.0 - nus)
     a4 = ctx["a"][:, None, :, :]
     b4 = ctx["b"][:, None, :, :]
     w = nus[:, :, None, None]
@@ -570,7 +426,7 @@ def _eval_pair_chunk(cfg, check, dim, indices):
     am = (1.0 - w) * a4 + w * b4
     gm, gm_half = _geometric_stacks(ctx)
     bridge = 0.5 * (ctx["a"] + ctx["b"]) - gm_half
-    h = ctx["h_hat"]
+    h = big_m / m
 
     if check == "refined_chain":
         gm_inv, gm_inv_half = _geometric_stacks(ctx, inverse_side=True)
@@ -579,12 +435,9 @@ def _eval_pair_chunk(cfg, check, dim, indices):
         bridge_inv = 0.5 * (inv_a + inv_b) - gm_inv_half
 
         def ctx_msg(p, j):
-            return (
-                f"check refined_chain instance (seed={cfg.seed}, index={indices[p]}, "
-                f"dim={dim}, nu={nus[p, j]})"
-            )
+            return f"check refined_chain instance ({label(p)}, nu={nus[p, j]})"
 
-        refined_hm = _inverse4(gm_inv[:, :, :, :] + 2.0 * r4 * bridge_inv[:, None], ctx_msg)
+        refined_hm = _inverse4(gm_inv + 2.0 * r4 * bridge_inv[:, None], ctx_msg)
         hm = _inverse4((1.0 - w) * inv_a[:, None] + w * inv_b[:, None], ctx_msg)
         bridge_min = _eigvals_min_stack(bridge)
         margins = {
@@ -602,9 +455,7 @@ def _eval_pair_chunk(cfg, check, dim, indices):
     elif check == "reverse_difference":
         root_h = np.sqrt(h)
         log_s = np.log(specht_ratio(root_h))
-        c_global = h * np.sqrt(ctx["big_m_hat"]) * log_mean(
-            np.sqrt(ctx["big_m_hat"]), np.sqrt(ctx["m_hat"])
-        ) * log_s
+        c_global = h * np.sqrt(big_m) * log_mean(np.sqrt(big_m), np.sqrt(m)) * log_s
         c_tight = root_h * log_mean(root_h, 1.0) * log_s * ctx["lam_a"][:, -1]
         rhs_max = _max_eig4(am - gm - 2.0 * r4 * bridge[:, None])
         margins = {
@@ -613,8 +464,8 @@ def _eval_pair_chunk(cfg, check, dim, indices):
         }
     elif check == "baseline_reverses":
         s = specht_ratio(h)
-        diff_const = h * log_mean(ctx["m_hat"], ctx["big_m_hat"]) * np.log(s)
-        eye = np.eye(dim)
+        diff_const = h * log_mean(m, big_m) * np.log(s)
+        eye = np.eye(ctx["a"].shape[-1])
         margins = {
             "baseline_ratio": _min_eig4(s[:, None, None, None] * gm - am),
             "baseline_difference": _min_eig4(
@@ -624,31 +475,20 @@ def _eval_pair_chunk(cfg, check, dim, indices):
     else:  # pragma: no cover - guarded by config validation
         raise ValueError(f"not a pair check: {check}")
 
-    tols = cfg.rel_tol * ctx["scale"][:, None]
-    return ctx, margins, tols
+    return margins, rel_tol * ctx["scale"][:, None]
 
 
-def _eval_hm_chunk(cfg, dim, indices):
-    a_raw = []
-    vecs = []
-    for k in indices:
-        rng = _rng_for(cfg.seed, "holder_mccarthy", k)
-        a_raw.append(_random_spd_array(dim, cfg.m, cfg.big_m, rng))
-        vecs.append(gen_unit_vector(dim, rng).coords)
-    a_raw = np.stack(a_raw)
-    x = np.stack(vecs)
-    lam, q = _eigh_stack(a_raw)
-    if lam[:, 0].min() <= 0.0:
-        raise SingularMatrixError("generated matrix is not positive definite")
-    h_hat = lam[:, -1] / lam[:, 0]
-    base = len(cfg.nu_grid)
-    p = len(indices)
-    nus = np.empty((p, base + 2))
-    nus[:, :base] = np.asarray(cfg.nu_grid)
-    for i in range(p):
-        nus[i, base:] = augmented_nu_grid((), float(h_hat[i]))
+def _hm_margins(lam, q, x, nus):
+    """State-vector margins (name -> (P, J)) and tolerances (P, 1).
+
+    lam, q is the eigendecomposition of a (P, n, n) SPD stack, x the (P, n)
+    unit vectors and nus the (P, J) weight table.  The refined margin is
+    invariant under rescaling A, so it is evaluated on the spectrum normalized
+    by the largest eigenvalue; that keeps its roundoff near machine precision
+    for operands of any magnitude.
+    """
+    p = len(lam)
     r = np.minimum(nus, 1.0 - nus)
-
     top = lam[:, -1]
     lam_unit = lam / top[:, None]
     weights = np.einsum("pij,pi->pj", q, x) ** 2
@@ -665,7 +505,114 @@ def _eval_hm_chunk(cfg, dim, indices):
     ) ** 2
     baseline = top[:, None] ** nus * (q_lin[:, None] ** nus - q_nu)
     margins = {"hm_refined": refined, "hm_baseline": baseline}
-    tols = np.full((p, 1), HM_ABS_TOL)
+    return margins, np.full((p, 1), HM_ABS_TOL)
+
+
+# ---------------------------------------------------------------------------
+# Per-instance checks: the batched kernels at one instance and one weight
+# ---------------------------------------------------------------------------
+
+def _result(check, dim, nu, margins, scale, tols, seed, index):
+    margins = {name: float(value[0, 0]) for name, value in margins.items()}
+    tol = float(tols[0, 0])
+    return CheckResult(
+        check=check,
+        dim=dim,
+        nu=nu,
+        margins=margins,
+        scale=float(scale),
+        tol=tol,
+        passed=min(margins.values()) >= -tol,
+        seed=seed,
+        index=index,
+    )
+
+
+def _check_pair(check, pair, nu, rel_tol, seed, index):
+    nu = _require_nu(nu)
+    ctx = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None])
+    margins, tols = _pair_margins(
+        check, ctx, np.array([pair.m]), np.array([pair.big_m]), np.array([[nu]]), rel_tol,
+        lambda p: f"index={index}, dim={pair.n}",
+    )
+    return _result(check, pair.n, nu, margins, ctx["scale"][0], tols, seed, index)
+
+
+def check_refined_chain(pair: SpdPair, nu, rel_tol=DEFAULT_REL_TOL, seed=None, index=None) -> CheckResult:
+    """Margins of the four chain links plus the plain AM >= GM margin."""
+    return _check_pair("refined_chain", pair, nu, rel_tol, seed, index)
+
+
+def check_reverse_ratio(pair: SpdPair, nu, rel_tol=DEFAULT_REL_TOL, seed=None, index=None) -> CheckResult:
+    """Margin of S(sqrt(h)) GM >= AM - 2r*bridge with h from the pair's bounds."""
+    return _check_pair("reverse_ratio", pair, nu, rel_tol, seed, index)
+
+
+def check_reverse_difference(pair: SpdPair, nu, rel_tol=DEFAULT_REL_TOL, seed=None, index=None) -> CheckResult:
+    """Margins of the scalar difference bounds against AM - GM - 2r*bridge.
+
+    Records both the h sqrt(M) L(sqrt(M), sqrt(m)) ln S(sqrt(h)) constant and
+    the tighter sqrt(h) L(sqrt(h), 1) ln S(sqrt(h)) ||A|| intermediate.
+    """
+    return _check_pair("reverse_difference", pair, nu, rel_tol, seed, index)
+
+
+def check_baseline_reverses(pair: SpdPair, nu, rel_tol=DEFAULT_REL_TOL, seed=None, index=None) -> CheckResult:
+    """Margins of S(h) GM >= AM and h L(m, M) ln S(h) I + GM >= AM."""
+    return _check_pair("baseline_reverses", pair, nu, rel_tol, seed, index)
+
+
+def check_hm_refined(a: SymMatrix, x: UnitVector, nu, seed=None, index=None) -> CheckResult:
+    """State-vector margins of the refined and plain power inequalities."""
+    nu = _require_nu(nu)
+    if a.n != x.n:
+        raise ValueError(f"dimension mismatch: matrix {a.n} vs vector {x.n}")
+    lam, q = _eigh_stack(a.entries[None])
+    if lam[0, 0] <= 0.0:
+        raise ValueError("matrix must be positive definite")
+    margins, tols = _hm_margins(lam, q, x.coords[None], np.array([[nu]]))
+    return _result("holder_mccarthy", a.n, nu, margins, 1.0, tols, seed, index)
+
+
+# ---------------------------------------------------------------------------
+# Suite and pair runs
+# ---------------------------------------------------------------------------
+
+def _gen_chunk_pairs(cfg, check, dim, indices):
+    a_raw = []
+    b_raw = []
+    for k in indices:
+        rng = _rng_for(cfg.seed, check, k)
+        a_raw.append(_random_spd_array(dim, cfg.m, cfg.big_m, rng))
+        b_raw.append(_random_spd_array(dim, cfg.m, cfg.big_m, rng))
+    return np.stack(a_raw), np.stack(b_raw)
+
+
+def _eval_pair_chunk(cfg, check, dim, indices):
+    """Generate a chunk of pairs; bounds and h are certified from the computed spectra."""
+    ctx = _diagonalize_pairs(*_gen_chunk_pairs(cfg, check, dim, indices))
+    m_hat = np.minimum(ctx["lam_a"][:, 0], ctx["lam_b"][:, 0])
+    big_m_hat = ctx["scale"]
+    nus = _nu_table(cfg.nu_grid, big_m_hat / m_hat)
+    margins, tols = _pair_margins(
+        check, ctx, m_hat, big_m_hat, nus, cfg.rel_tol,
+        lambda p: f"seed={cfg.seed}, index={indices[p]}, dim={dim}",
+    )
+    return nus, margins, tols
+
+
+def _eval_hm_chunk(cfg, dim, indices):
+    a_raw = []
+    vecs = []
+    for k in indices:
+        rng = _rng_for(cfg.seed, "holder_mccarthy", k)
+        a_raw.append(_random_spd_array(dim, cfg.m, cfg.big_m, rng))
+        vecs.append(gen_unit_vector(dim, rng).coords)
+    lam, q = _eigh_stack(np.stack(a_raw))
+    if lam[:, 0].min() <= 0.0:
+        raise SingularMatrixError("generated matrix is not positive definite")
+    nus = _nu_table(cfg.nu_grid, lam[:, -1] / lam[:, 0])
+    margins, tols = _hm_margins(lam, q, np.stack(vecs), nus)
     return nus, margins, tols
 
 
@@ -694,8 +641,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                     if check == "holder_mccarthy":
                         nus, margins, tols = _eval_hm_chunk(cfg, dim, chunk)
                     else:
-                        ctx, margins, tols = _eval_pair_chunk(cfg, check, dim, chunk)
-                        nus = ctx["nus"]
+                        nus, margins, tols = _eval_pair_chunk(cfg, check, dim, chunk)
                 except NumericalError as err:
                     errors.append(
                         {
@@ -716,3 +662,24 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         runtime_seconds=runtime,
         errors=tuple(errors),
     )
+
+
+def run_pair(pair: SpdPair, nu_grid=DEFAULT_NU_GRID, rel_tol=DEFAULT_REL_TOL):
+    """Aggregates of the four pair checks on one pair over its augmented nu grid.
+
+    The reverse constants and the critical weights use the pair's bounds
+    pair.m and pair.big_m.  The worst instance carries index 0 and no seed.
+    """
+    _validate_weights(nu_grid, rel_tol)
+    nus = _nu_table(nu_grid, [pair.h])
+    ctx = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None])
+    aggregates = []
+    for check in PAIR_CHECK_NAMES:
+        acc = _Accumulator(check)
+        margins, tols = _pair_margins(
+            check, ctx, np.array([pair.m]), np.array([pair.big_m]), nus, rel_tol,
+            lambda p: f"pair, dim={pair.n}",
+        )
+        acc.update(None, (0,), pair.n, nus, margins, tols)
+        aggregates.append(acc.finish())
+    return tuple(aggregates)

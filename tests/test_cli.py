@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from lapack_reference import pair_bounds, worst_and_violations
 from opmeans import cli
 from opmeans.cli import main
 from opmeans.matrices import SingularMatrixError, SymMatrix, save_matrix
+from opmeans.verify import DEFAULT_NU_GRID, augmented_nu_grid
 
 FAST_VERIFY = ["verify", "--trials", "8", "--dims", "2,3"]
 SMALL_EXPLORE = ["--a-range", "0.1,10,40", "--b-range", "0.1,10,40", "--nu-points", "0.1,0.5,0.9"]
@@ -139,6 +141,53 @@ def test_verify_pair_mode_rejects_indefinite(tmp_path, capsys):
     save_matrix(b, fb)
     assert main(["verify", "--pair", str(fa), str(fb)]) == 2
     assert "positive definite" in capsys.readouterr().err
+
+
+def write_random_pair(tmp_path, dim, seed):
+    rng = np.random.default_rng(seed)
+    paths = []
+    for tag in ("a", "b"):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        lam = np.concatenate(([1.0, 10.0], rng.uniform(1.0, 10.0, dim - 2)))
+        mat = q @ np.diag(lam) @ q.T
+        paths.append(tmp_path / f"{tag}.json")
+        save_matrix(SymMatrix.from_array(0.5 * (mat + mat.T)), paths[-1])
+    return [str(p) for p in paths]
+
+
+def test_verify_pair_mode_matches_lapack_reference(tmp_path):
+    fa, fb = write_random_pair(tmp_path, 4, 17)
+    out = tmp_path / "pair.json"
+    code = main(["verify", "--pair", fa, fb, "--out", str(out)])
+    doc = read_json(out)
+    a, b = (np.array(read_json(path)["entries"]).reshape(4, 4) for path in (fa, fb))
+    m, big_m = pair_bounds(a, b)
+    nus = augmented_nu_grid(DEFAULT_NU_GRID, big_m / m)
+    total = 0
+    for check in doc["checks"]:
+        worst, violations = worst_and_violations(check["name"], a, b, nus, 1e-8)
+        total += violations
+        assert check["violations"] == violations
+        assert check["worst_margin"] == pytest.approx(worst, abs=1e-10 * big_m)
+        assert min(abs(check["worst_instance"]["nu"] - nu) for nu in nus) <= 1e-12
+    assert code == (1 if total else 0)
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--rel-tol", "-1"], "rel_tol must be positive"),
+        (["--rel-tol", "0"], "rel_tol must be positive"),
+        (["--rel-tol", "nan"], "rel_tol must be positive"),
+        (["--nu-grid", ""], "nu_grid must be nonempty"),
+    ],
+    ids=["negative-tol", "zero-tol", "nan-tol", "empty-grid"],
+)
+def test_verify_pair_mode_validates_like_suite(tmp_path, capsys, flags, message):
+    pair = write_random_pair(tmp_path, 2, 3)
+    for argv in (["verify", *flags], ["verify", "--pair", *pair, *flags]):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_verify_numerical_error_exit(monkeypatch, tmp_path):

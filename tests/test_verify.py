@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lapack_reference import pair_bounds, pair_margins
 from opmeans.matrices import SingularMatrixError, SymMatrix, spectral_bounds
 from opmeans.means import SpdPair, weighted_geometric
 from opmeans.scalar import (
@@ -249,6 +250,21 @@ def test_reverse_ratio_diagonal_dominates_scalar():
         assert res.margins["reverse_ratio"] >= scalar_margins.min() - 1e-10
 
 
+def test_pair_checks_use_supplied_bounds_and_spectral_scale():
+    # looser bounds than the spectra set h, so the constant grows; the
+    # tolerance scale stays the larger operator norm of A and B
+    d1, d2 = np.array([1.0, 3.0]), np.array([2.0, 5.0])
+    pair = SpdPair.from_matrices(SymMatrix.diagonal(d1), SymMatrix.diagonal(d2), m=0.5, big_m=20.0)
+    nu = 0.3
+    res = check_reverse_ratio(pair, nu)
+    per_entry = specht_ratio(math.sqrt(40.0)) * d1 ** (1 - nu) * d2**nu - (
+        (1 - nu) * d1 + nu * d2 - nu * (np.sqrt(d1) - np.sqrt(d2)) ** 2
+    )
+    assert res.margins["reverse_ratio"] == pytest.approx(per_entry.min(), abs=1e-12)
+    assert res.scale == pytest.approx(5.0, abs=1e-12)
+    assert res.tol == pytest.approx(5e-8, rel=1e-12)
+
+
 def test_reverse_difference_equal_matrices():
     rng = np.random.default_rng(8)
     a = gen_spd_pair(3, 1.0, 10.0, rng).a
@@ -369,6 +385,8 @@ def test_suite_json_schema(small_report):
     ],
 )
 def test_suite_batched_matches_reference_path(check_name, check_fn):
+    # the suite aggregate and every per-instance margin against the LAPACK
+    # reference, which shares no eigensolver or means code with the library
     cfg = SuiteConfig(trials=6, dims=(2, 4), seed=3, checks=(check_name,))
     report = run_suite(cfg)
     worst = math.inf
@@ -376,10 +394,16 @@ def test_suite_batched_matches_reference_path(check_name, check_fn):
     for k in range(cfg.trials):
         dim = cfg.dims[k % len(cfg.dims)]
         pair = gen_spd_pair(dim, cfg.m, cfg.big_m, rng_for(cfg.seed, check_name, k))
-        for nu in augmented_nu_grid(cfg.nu_grid, pair.h):
-            res = check_fn(pair, nu, rel_tol=cfg.rel_tol)
-            worst = min(worst, min(res.margins.values()))
-            violations += 0 if res.passed else 1
+        a, b = pair.a.entries, pair.b.entries
+        m, big_m = pair_bounds(a, b)
+        for nu in augmented_nu_grid(cfg.nu_grid, big_m / m):
+            want = pair_margins(check_name, a, b, nu)
+            got = check_fn(pair, nu, rel_tol=cfg.rel_tol)
+            for name, value in want.items():
+                assert got.margins[name] == pytest.approx(value, abs=1e-10 * big_m), (k, nu, name)
+            low = min(want.values())
+            worst = min(worst, low)
+            violations += low < -cfg.rel_tol * big_m
     agg = report.checks[0]
     assert agg.violations == violations == 0
     assert agg.worst_margin == pytest.approx(worst, abs=1e-10 * cfg.big_m)
