@@ -9,7 +9,8 @@ Subcommands:
   comparison at (a, b) = (1, 10) and report deviations.
 
 Exit codes: 0 success, 1 inequality violation, 2 usage/config error,
-3 internal numerical error, 10 conjecture counterexample witness.
+3 internal numerical error or any other unexpected error (traceback on
+stderr), 10 conjecture counterexample witness.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import io
 import json
 import sys
 import time
+import traceback
 
 from . import __version__
 from .explore import (
@@ -367,6 +369,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NumericalError as err:
         print(f"numerical error: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception:
+        # Any other failure is a fault of the program, never a verdict on an
+        # inequality, so it must not leave with the violation code 1.
+        traceback.print_exc()
         return EXIT_NUMERICAL
 
 

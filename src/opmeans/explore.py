@@ -2,12 +2,17 @@
 the open ordering question between the one-step and half-power difference
 bounds, and numeric verification of the proof-level maximizers.
 
-All scans evaluate :func:`scan_quantity`, so recorded witnesses can be
-re-evaluated exactly; reports are self-verifying.
+All scans evaluate the two parts of :func:`scan_quantity`: the factors that
+do not depend on the weight nu (Specht's ratio, the logarithmic means and
+their logarithms) are computed once per scan on the broadcast (a, b) axes,
+then combined at each weight in turn.  :func:`scan_quantity` runs the same
+two parts at one point, so recorded witnesses can be re-evaluated through the
+same operations; reports are self-verifying.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +52,8 @@ DEFAULT_EXTREMIZER_SAMPLES = (0.1, 0.5, 2.0, 4.0, 10.0, 100.0)
 
 _COMPONENT_TOL_REL = 1e-12
 
+_SCAN_KINDS = ("ratio", "difference", "conjecture")
+
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -67,6 +74,8 @@ class GridSpec:
             ("a", self.a_lo, self.a_hi, self.a_count),
             ("b", self.b_lo, self.b_hi, self.b_count),
         ):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name}-range endpoints must be finite")
             if lo <= 0.0 or hi <= 0.0:
                 raise ValueError(f"{name}-range endpoints must be positive")
             if lo >= hi:
@@ -164,38 +173,72 @@ def scan_quantity(kind, a, b, nu=None):
     * ``"conjecture"``: L(a,b) ln S(a/b) - max(sqrt(a), sqrt(b)) L(sqrt(a),
       sqrt(b)) ln S(sqrt(a/b)); conjectured nonnegative, scanned for
       counterexamples.
+
+    It is evaluated in two parts: :func:`_scan_factors` computes what does not
+    depend on nu, and :func:`_at_weights` combines those factors at each
+    weight.  The scans call the same two parts with one set of factors for
+    all their weights, so a recorded witness re-evaluates here through the
+    same operations.
     """
+    if kind not in _SCAN_KINDS:
+        raise ValueError(f"unknown scan kind {kind!r}")
+    if kind != "conjecture" and nu is None:
+        raise ValueError(f"{kind} scans need a weight nu")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if kind == "ratio":
-        if nu is None:
-            raise ValueError("ratio scans need a weight nu")
-        nu = float(nu)
-        gm = np.power(a, 1.0 - nu) * np.power(b, nu)
-        out = (1.0 - nu) * a + nu * b - specht_ratio(np.sqrt(a / b)) * gm
-    elif kind == "difference":
-        if nu is None:
-            raise ValueError("difference scans need a weight nu")
-        nu = float(nu)
-        r = min(nu, 1.0 - nu)
-        ra, rb = np.sqrt(a), np.sqrt(b)
-        one_step = log_mean(a, b) * np.log(specht_ratio(a / b))
-        half_power = np.maximum(ra, rb) * log_mean(ra, rb) * np.log(
-            specht_ratio(np.sqrt(a / b))
-        )
-        out = one_step - (half_power + r * (ra - rb) ** 2)
-    elif kind == "conjecture":
-        ra, rb = np.sqrt(a), np.sqrt(b)
-        one_step = log_mean(a, b) * np.log(specht_ratio(a / b))
-        half_power = np.maximum(ra, rb) * log_mean(ra, rb) * np.log(
-            specht_ratio(np.sqrt(a / b))
-        )
-        out = one_step - half_power
-    else:
-        raise ValueError(f"unknown scan kind {kind!r}")
+    (out,) = _at_weights(kind, _scan_factors(kind, a, b), (nu,))
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def _scan_factors(kind, a, b):
+    """The factors of ``scan_quantity(kind, a, b, nu)`` that do not depend on nu.
+
+    ``"ratio"`` gives (a, b, S(sqrt(a/b))).  ``"difference"`` and
+    ``"conjecture"`` give (L(a,b), ln S(a/b), max(sqrt(a), sqrt(b))
+    L(sqrt(a), sqrt(b)), ln S(sqrt(a/b)), sqrt(a), sqrt(b)).  ``a`` and ``b``
+    broadcast against each other, so a scan can pass its two axes as a
+    column and a row.
+    """
+    if kind == "ratio":
+        return a, b, specht_ratio(np.sqrt(a / b))
+    ra, rb = np.sqrt(a), np.sqrt(b)
+    return (
+        log_mean(a, b),
+        np.log(specht_ratio(a / b)),
+        np.maximum(ra, rb) * log_mean(ra, rb),
+        np.log(specht_ratio(np.sqrt(a / b))),
+        ra,
+        rb,
+    )
+
+
+def _at_weights(kind, factors, nus):
+    """Yield the scanned quantity at each weight of ``nus``, one array at a time.
+
+    The products of the factors that do not depend on nu are formed once,
+    before the first weight.  ``"conjecture"`` ignores the weight.
+    """
+    if kind == "ratio":
+        a, b, specht = factors
+        for nu in nus:
+            nu = float(nu)
+            gm = np.power(a, 1.0 - nu) * np.power(b, nu)
+            yield (1.0 - nu) * a + nu * b - specht * gm
+        return
+    mean, log_specht, half_mean, half_log_specht, ra, rb = factors
+    one_step = mean * log_specht
+    half_power = half_mean * half_log_specht
+    if kind == "conjecture":
+        for _ in nus:
+            yield one_step - half_power
+        return
+    gap = (ra - rb) ** 2
+    for nu in nus:
+        nu = float(nu)
+        r = min(nu, 1.0 - nu)
+        yield one_step - (half_power + r * gap)
 
 
 def reference_comparison() -> ReferenceComparison:
@@ -242,36 +285,29 @@ def no_ordering_scan(kind, grid: GridSpec = GridSpec()) -> ExplorationReport:
         raise ValueError(f"kind must be 'ratio' or 'difference', got {kind!r}")
     grid.validate()
     a_axis, b_axis = grid.axes()
-    a_mesh, b_mesh = np.meshgrid(a_axis, b_axis, indexing="ij")
+    factors = _scan_factors(kind, a_axis[:, None], b_axis[None, :])
     points = 0
     negatives = positives = 0
     min_value = np.inf
     max_value = -np.inf
     min_at = max_at = None
     neg_wit = pos_wit = None
-    for nu in grid.nu_points:
-        vals = scan_quantity(kind, a_mesh, b_mesh, nu)
+    for nu, vals in zip(grid.nu_points, _at_weights(kind, factors, grid.nu_points)):
         points += vals.size
         negatives += int((vals < 0.0).sum())
         positives += int((vals > 0.0).sum())
-        lo_idx = int(np.argmin(vals))
-        hi_idx = int(np.argmax(vals))
-        lo = float(vals.flat[lo_idx])
-        hi = float(vals.flat[hi_idx])
-        if lo < min_value:
-            min_value = lo
-            i, j = np.unravel_index(lo_idx, vals.shape)
-            min_at = _witness(a_mesh[i, j], b_mesh[i, j], nu, lo)
-        if hi > max_value:
-            max_value = hi
-            i, j = np.unravel_index(hi_idx, vals.shape)
-            max_at = _witness(a_mesh[i, j], b_mesh[i, j], nu, hi)
-        if neg_wit is None and lo < 0.0:
-            i, j = np.unravel_index(lo_idx, vals.shape)
-            neg_wit = _witness(a_mesh[i, j], b_mesh[i, j], nu, lo)
-        if pos_wit is None and hi > 0.0:
-            i, j = np.unravel_index(hi_idx, vals.shape)
-            pos_wit = _witness(a_mesh[i, j], b_mesh[i, j], nu, hi)
+        lo_i, lo_j = np.unravel_index(np.argmin(vals), vals.shape)
+        hi_i, hi_j = np.unravel_index(np.argmax(vals), vals.shape)
+        lo_at = _witness(a_axis[lo_i], b_axis[lo_j], nu, vals[lo_i, lo_j])
+        hi_at = _witness(a_axis[hi_i], b_axis[hi_j], nu, vals[hi_i, hi_j])
+        if lo_at["value"] < min_value:
+            min_value, min_at = lo_at["value"], lo_at
+        if hi_at["value"] > max_value:
+            max_value, max_at = hi_at["value"], hi_at
+        if neg_wit is None and lo_at["value"] < 0.0:
+            neg_wit = lo_at
+        if pos_wit is None and hi_at["value"] > 0.0:
+            pos_wit = hi_at
     return ExplorationReport(
         name=f"no-ordering-{kind}",
         points=points,
@@ -302,14 +338,13 @@ def conjecture_scan(grid: GridSpec = GridSpec()) -> ExplorationReport:
     mask = a_mesh != b_mesh
     a_flat = a_mesh[mask]
     b_flat = b_mesh[mask]
-    vals = scan_quantity("conjecture", a_flat, b_flat)
+    factors = _scan_factors("conjecture", a_flat, b_flat)
+    (vals,) = _at_weights("conjecture", factors, (None,))
 
-    ra, rb = np.sqrt(a_flat), np.sqrt(b_flat)
+    mean, log_specht, half_mean, half_log_specht = factors[:4]
     comp_tol = _COMPONENT_TOL_REL * (a_flat + b_flat)
-    comp_means = np.maximum(ra, rb) * log_mean(ra, rb) - log_mean(a_flat, b_flat)
-    comp_specht = np.log(specht_ratio(a_flat / b_flat)) - np.log(
-        specht_ratio(np.sqrt(a_flat / b_flat))
-    )
+    comp_means = half_mean - mean
+    comp_specht = log_specht - half_log_specht
     violations = int((comp_means < -comp_tol).sum() + (comp_specht < -comp_tol).sum())
 
     lo_idx = int(np.argmin(vals))

@@ -29,6 +29,7 @@ references live in the tests.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -95,6 +96,8 @@ def _validate_weights(nu_grid, rel_tol):
         raise ValueError("nu_grid must be nonempty")
     if not rel_tol > 0.0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not math.isfinite(rel_tol):
+        raise ValueError(f"rel_tol must be finite, got {rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,8 @@ class SuiteConfig:
                 raise ValueError(f"dims entries must be in [{MIN_DIM}, {MAX_DIM}], got {d}")
         if not 0.0 < self.m < self.big_m:
             raise ValueError(f"spectrum bounds must satisfy 0 < m < M, got m={self.m}, M={self.big_m}")
+        if not math.isfinite(self.big_m):
+            raise ValueError(f"spectrum bounds must be finite, got M={self.big_m}")
         _validate_weights(self.nu_grid, self.rel_tol)
         for name in self.checks:
             if name not in CHECK_IDS:

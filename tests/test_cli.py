@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -179,9 +180,10 @@ def test_verify_pair_mode_matches_lapack_reference(tmp_path):
         (["--rel-tol", "-1"], "rel_tol must be positive"),
         (["--rel-tol", "0"], "rel_tol must be positive"),
         (["--rel-tol", "nan"], "rel_tol must be positive"),
+        (["--rel-tol", "inf"], "rel_tol must be finite"),
         (["--nu-grid", ""], "nu_grid must be nonempty"),
     ],
-    ids=["negative-tol", "zero-tol", "nan-tol", "empty-grid"],
+    ids=["negative-tol", "zero-tol", "nan-tol", "inf-tol", "empty-grid"],
 )
 def test_verify_pair_mode_validates_like_suite(tmp_path, capsys, flags, message):
     pair = write_random_pair(tmp_path, 2, 3)
@@ -196,6 +198,22 @@ def test_verify_numerical_error_exit(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "run_suite", boom)
     assert main(FAST_VERIFY) == 3
+
+
+def test_verify_infinite_upper_bound_rejected(capsys):
+    assert main(["verify", "--trials", "8", "--dims", "2", "--M", "inf"]) == 2
+    assert "spectrum bounds must be finite, got M=inf" in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_3_with_traceback(monkeypatch, capsys):
+    def boom(cfg):
+        raise OverflowError("synthetic overflow")
+
+    monkeypatch.setattr(cli, "run_suite", boom)
+    assert main(FAST_VERIFY) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "OverflowError: synthetic overflow" in err
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +300,16 @@ def test_explore_conjecture_witness_exit(monkeypatch, tmp_path):
 def test_explore_bad_range():
     assert main(["explore", "--a-range", "1,2"]) == 2
     assert main(["explore", "--a-range", "-1,2,10"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--a-range", "--b-range"])
+def test_explore_non_finite_range_rejected(capsys, flag):
+    name = flag[2:]
+    for text in ("1e-2,inf,20", "nan,1,20"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["explore", flag, text]) == 2
+        assert f"{name} endpoints must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,20 @@ def test_grid_validation():
     GridSpec().validate()
 
 
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"a_hi": math.inf}, "a-range"),
+        ({"a_lo": math.nan}, "a-range"),
+        ({"b_hi": math.inf}, "b-range"),
+        ({"b_lo": -math.inf}, "b-range"),
+    ],
+)
+def test_grid_validation_rejects_non_finite_endpoints(fields, name):
+    with pytest.raises(ValueError, match=f"{name} endpoints must be finite"):
+        GridSpec(**fields).validate()
+
+
 def test_grid_axes_log_spaced():
     a_axis, b_axis = GridSpec(a_lo=0.01, a_hi=100.0, a_count=5).axes()
     assert a_axis[0] == pytest.approx(0.01)
@@ -100,6 +114,103 @@ def test_witnesses_self_verify():
 def test_known_sign_points_on_ratio_scan():
     assert scan_quantity("ratio", 1.0, 10.0, 0.9) < 0.0
     assert scan_quantity("ratio", 1.0, 10.0, 0.6) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Scans against a per-weight oracle
+# ---------------------------------------------------------------------------
+#
+# The oracle evaluates every weight from scratch on the full meshgrid, with the
+# expressions written out in one piece.  The scans compute the weight-free
+# factors once and combine them per weight on broadcast axes; both must give
+# the same floats, so the reports are compared with ==.
+
+def _oracle_quantity(kind, a, b, nu=None):
+    if kind == "ratio":
+        gm = np.power(a, 1.0 - nu) * np.power(b, nu)
+        return (1.0 - nu) * a + nu * b - specht_ratio(np.sqrt(a / b)) * gm
+    ra, rb = np.sqrt(a), np.sqrt(b)
+    one_step = log_mean(a, b) * np.log(specht_ratio(a / b))
+    half_power = np.maximum(ra, rb) * log_mean(ra, rb) * np.log(specht_ratio(np.sqrt(a / b)))
+    if kind == "conjecture":
+        return one_step - half_power
+    return one_step - (half_power + min(nu, 1.0 - nu) * (ra - rb) ** 2)
+
+
+def _oracle_witness(a, b, nu, value):
+    w = {"a": float(a), "b": float(b), "value": float(value)}
+    if nu is not None:
+        w["nu"] = float(nu)
+    return w
+
+
+def _oracle_no_ordering(kind, grid):
+    a_mesh, b_mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    out = {"name": f"no-ordering-{kind}", "points": 0, "min_value": np.inf, "min_at": None,
+           "max_value": -np.inf, "max_at": None, "negatives": 0, "positives": 0,
+           "violations": 0, "negative_witness": None, "positive_witness": None}
+    for nu in grid.nu_points:
+        vals = _oracle_quantity(kind, a_mesh, b_mesh, float(nu))
+        out["points"] += vals.size
+        out["negatives"] += int((vals < 0.0).sum())
+        out["positives"] += int((vals > 0.0).sum())
+        lo_idx, hi_idx = int(np.argmin(vals)), int(np.argmax(vals))
+        lo, hi = float(vals.flat[lo_idx]), float(vals.flat[hi_idx])
+        lo_at = _oracle_witness(a_mesh.flat[lo_idx], b_mesh.flat[lo_idx], nu, lo)
+        hi_at = _oracle_witness(a_mesh.flat[hi_idx], b_mesh.flat[hi_idx], nu, hi)
+        if lo < out["min_value"]:
+            out["min_value"], out["min_at"] = lo, lo_at
+        if hi > out["max_value"]:
+            out["max_value"], out["max_at"] = hi, hi_at
+        if out["negative_witness"] is None and lo < 0.0:
+            out["negative_witness"] = lo_at
+        if out["positive_witness"] is None and hi > 0.0:
+            out["positive_witness"] = hi_at
+    return out
+
+
+def _oracle_conjecture(grid):
+    a_mesh, b_mesh = np.meshgrid(*grid.axes(), indexing="ij")
+    off = a_mesh != b_mesh
+    a, b = a_mesh[off], b_mesh[off]
+    vals = _oracle_quantity("conjecture", a, b)
+    ra, rb = np.sqrt(a), np.sqrt(b)
+    tol = 1e-12 * (a + b)
+    comp_means = np.maximum(ra, rb) * log_mean(ra, rb) - log_mean(a, b)
+    comp_specht = np.log(specht_ratio(a / b)) - np.log(specht_ratio(np.sqrt(a / b)))
+    lo_idx, hi_idx = int(np.argmin(vals)), int(np.argmax(vals))
+    negative = vals < 0.0
+    first_neg = int(np.argmax(negative))
+    return {
+        "name": "conjecture",
+        "points": int(vals.size),
+        "min_value": float(vals[lo_idx]),
+        "min_at": _oracle_witness(a[lo_idx], b[lo_idx], None, vals[lo_idx]),
+        "max_value": float(vals[hi_idx]),
+        "max_at": _oracle_witness(a[hi_idx], b[hi_idx], None, vals[hi_idx]),
+        "negatives": int(negative.sum()),
+        "positives": int((vals > 0.0).sum()),
+        "violations": int((comp_means < -tol).sum() + (comp_specht < -tol).sum()),
+        "negative_witness": (
+            _oracle_witness(a[first_neg], b[first_neg], None, vals[first_neg])
+            if negative.any() else None
+        ),
+        "positive_witness": None,
+    }
+
+
+ORACLE_GRIDS = {
+    "default": GridSpec(),
+    "non-square": GridSpec(a_lo=1e-6, a_hi=1e6, a_count=123, b_lo=1e-3, b_hi=1e8, b_count=77,
+                           nu_points=(0.0, 0.3, 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("grid", list(ORACLE_GRIDS.values()), ids=list(ORACLE_GRIDS))
+def test_scans_equal_per_weight_oracle(grid):
+    for kind in ("ratio", "difference"):
+        assert no_ordering_scan(kind, grid).to_json_dict() == _oracle_no_ordering(kind, grid)
+    assert conjecture_scan(grid).to_json_dict() == _oracle_conjecture(grid)
 
 
 # ---------------------------------------------------------------------------
