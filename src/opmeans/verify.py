@@ -17,7 +17,8 @@ Five checks are implemented:
 
 Reproducibility: instance k of check c draws from a fresh generator seeded
 with SeedSequence([seed, CHECK_IDS[c], k]), so results never depend on
-evaluation order.
+evaluation order.  A chunk draws instance by instance and then runs the QR
+and the reconstruction once on the stacked draws.
 
 Every margin is computed by one batched kernel per kind of check: the pair
 kernel _pair_margins over a (P, n, n) pair stack and a (P, J) weight table,
@@ -25,6 +26,19 @@ and the state-vector kernel _hm_margins.  run_suite feeds them generated
 chunks, run_pair one user-supplied pair over its whole augmented grid, and
 the per-instance check_* functions one instance at one weight.  Independent
 references live in the tests.
+
+The pair kernel reads every mean off one weight-independent congruence frame
+per chunk (_diagonalize_pairs): with T = A^(-1/2) B A^(-1/2) = Q diag(t) Q^T
+and W = A^(1/2) Q,
+
+  GM         = W diag(t^nu) W^T,
+  refined HM = W diag(1 / (t^-nu + r (1 - t^-1/2)^2)) W^T,
+  HM         = W diag(1 / ((1 - nu) + nu / t)) W^T.
+
+The harmonic means therefore invert diagonals, never a matrix of condition up
+to h^2, and run_pair builds the frame and the GM stack once for all four
+checks.  A margin that is not finite, or a t at or below the inversion floor,
+raises NumericalError naming the instance.
 """
 
 from __future__ import annotations
@@ -231,22 +245,31 @@ def _rng_for(seed, check, index):
     return np.random.default_rng(np.random.SeedSequence([seed, CHECK_IDS[check], index]))
 
 
-def _random_orthogonal(rng, dim):
-    gauss = rng.standard_normal((dim, dim))
+def _draw_spd(rng, dim, m, big_m):
+    """The draws of one random SPD matrix, in stream order: the interior
+    eigenvalues, uniform in [m, M], then the Gaussian of its orthogonal factor."""
+    return rng.uniform(m, big_m, size=dim - 2), rng.standard_normal((dim, dim))
+
+
+def _spd_from_draws(interior, gauss, m, big_m):
+    """SPD matrices from stacked draws: interior (..., n-2), gauss (..., n, n).
+
+    One eigenvalue is pinned to each endpoint so the certified condition ratio
+    is tight.  The orthogonal factor is the Q of gauss = QR with the signs of
+    diag(R) moved into Q.
+    """
     q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.diagonal(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs = np.where(signs == 0.0, 1.0, signs)
-    return q * signs
+    q = q * signs[..., None, :]
+    ends = np.broadcast_to([m, big_m], interior.shape[:-1] + (2,))
+    eigvals = np.concatenate((ends, interior), axis=-1)
+    mat = (q * eigvals[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
 def _random_spd_array(dim, m, big_m, rng):
-    # Pin one eigenvalue to each endpoint so the certified condition ratio is
-    # tight; remaining eigenvalues uniform in [m, M].
-    interior = rng.uniform(m, big_m, size=dim - 2)
-    eigvals = np.concatenate(([m, big_m], interior))
-    q = _random_orthogonal(rng, dim)
-    mat = (q * eigvals) @ q.T
-    return 0.5 * (mat + mat.T)
+    return _spd_from_draws(*_draw_spd(rng, dim, m, big_m), m, big_m)
 
 
 def gen_spd_pair(dim, m, big_m, rng) -> SpdPair:
@@ -295,14 +318,14 @@ def _nu_table(base, h):
 # ---------------------------------------------------------------------------
 
 def _recon(q, lam):
-    """q diag(lam) q^T over a stack: q (..., n, n), lam (..., n)."""
-    return np.einsum("...ik,...k,...jk->...ij", q, lam, q)
+    """q diag(lam) q^T over a stack: q (..., n, n), lam (..., n); the leading
+    axes broadcast, so one q can carry a whole row of weights."""
+    return (q * lam[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def _recon_powers(q, lam, nus):
     """q diag(lam^nu) q^T for a (P,) stack against a (P, J) table of exponents."""
-    powed = np.power(lam[:, None, :], nus[:, :, None])
-    return np.einsum("pik,pjk,plk->pjil", q, powed, q)
+    return _recon(q[:, None], np.power(lam[:, None, :], nus[:, :, None]))
 
 
 def _sym4(stack):
@@ -318,19 +341,29 @@ def _max_eig4(stack):
     return -_min_eig4(-stack)
 
 
-def _inverse4(stack, context):
-    """Batched SPD inverse with the same eigenvalue floor as matrix_inverse."""
-    p, j, n, _ = stack.shape
-    lam, q = _eigh_stack(stack.reshape(p * j, n, n))
-    norms = np.abs(lam).max(axis=1)
-    floor = _INV_FLOOR_REL * norms
-    bad = (lam[:, 0] < floor) | (lam[:, 0] <= 0.0)
+def _inverse4(diag, context):
+    """Batched SPD inverse in the congruence frame: 1/d for a (P, J, n) stack of
+    diagonal factors, refused at or below the relative floor of matrix_inverse.
+    context(p, j) names the failing entry."""
+    low = diag.min(axis=-1)
+    bad = ~(low > _INV_FLOOR_REL * np.abs(diag).max(axis=-1))
     if bad.any():
-        flat = int(np.argmax(bad))
+        p, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise SingularMatrixError(
-            f"eigenvalue {lam[flat, 0]:.3e} below inversion floor in {context(flat // j, flat % j)}"
+            f"eigenvalue {low[p, j]:.3e} below inversion floor in {context(p, j)}"
         )
-    return _recon(q, 1.0 / lam).reshape(p, j, n, n)
+    return 1.0 / diag
+
+
+def _require_finite(check, margins, nus, label):
+    """Raise NumericalError naming the first instance with a non-finite margin."""
+    for name, values in margins.items():
+        bad = ~np.isfinite(values)
+        if bad.any():
+            p, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise NumericalError(
+                f"non-finite margin {name} in check {check} instance ({label(p)}, nu={nus[p, j]})"
+            )
 
 
 class _Accumulator:
@@ -371,79 +404,77 @@ class _Accumulator:
 
 
 def _diagonalize_pairs(a, b):
-    """Eigendecompositions of a (P, n, n) pair stack, in one eigensolve."""
+    """The weight-independent congruence frame of a (P, n, n) pair stack.
+
+    The spectra of A and B come from one eigensolve.  With
+    T = A^(-1/2) B A^(-1/2) = Q diag(t) Q^T from a second one, the frame keeps
+    t and W = A^(1/2) Q: every mean of the pair is W diag(f(t)) W^T for a
+    scalar f, by congruence covariance.
+    """
     p = len(a)
     lam, q = _eigh_stack(np.concatenate([a, b]))
     if lam[:, 0].min() <= 0.0:
         raise SingularMatrixError("pair matrix is not positive definite")
-    lam_a, lam_b = lam[:p], lam[p:]
+    lam_a, lam_b, q_a = lam[:p], lam[p:], q[:p]
+    root = np.sqrt(lam_a)
+    shrink = _recon(q_a, 1.0 / root)
+    middle = shrink @ b @ shrink
+    t, q_t = _eigh_stack(0.5 * (middle + middle.transpose(0, 2, 1)))
     return {
         "a": a,
         "b": b,
         "lam_a": lam_a,
         "lam_b": lam_b,
-        "q_a": q[:p],
-        "q_b": q[p:],
+        "t": np.maximum(t, 0.0),  # roundoff negatives; the harmonic route refuses them
+        "w": _recon(q_a, root) @ q_t,
         "scale": np.maximum(lam_a[:, -1], lam_b[:, -1]),
     }
 
 
-def _geometric_stacks(ctx, inverse_side=False):
-    """GM stack over the nu table plus the midpoint GM, on either the pair or
-    its inverses."""
-    lam_a, q_a = ctx["lam_a"], ctx["q_a"]
-    lam_b, q_b = ctx["lam_b"], ctx["q_b"]
-    if not inverse_side:
-        outer = _recon(q_a, np.sqrt(lam_a))
-        inner_mat = _recon(q_b, lam_b)
-        shrink = _recon(q_a, 1.0 / np.sqrt(lam_a))
-    else:
-        # A^(-1) #_nu B^(-1) = A^(-1/2) (A^(1/2) B^(-1) A^(1/2))^nu A^(-1/2)
-        outer = _recon(q_a, 1.0 / np.sqrt(lam_a))
-        inner_mat = _recon(q_b, 1.0 / lam_b)
-        shrink = _recon(q_a, np.sqrt(lam_a))
-    middle = shrink @ inner_mat @ shrink
-    middle = 0.5 * (middle + middle.transpose(0, 2, 1))
-    lam_t, q_t = _eigh_stack(middle)
-    if lam_t[:, 0].min() < 0.0:
-        lam_t = np.maximum(lam_t, 0.0)
-    nus_ext = np.concatenate([ctx["nus"], np.full((len(ctx["nus"]), 1), 0.5)], axis=1)
-    powered = _recon_powers(q_t, lam_t, nus_ext)
-    gm_ext = np.einsum("pab,pjbc,pcd->pjad", outer, powered, outer)
-    gm_ext = _sym4(gm_ext)
+def _geometric_stacks(frame, nus):
+    """GM stack (P, J, n, n) over the (P, J) weight table plus the midpoint GM
+    (P, n, n), read off the frame of _diagonalize_pairs: A #_nu B = W diag(t^nu) W^T.
+
+    Computed once per frame and weight table; every pair check takes it as is.
+    """
+    nus_ext = np.concatenate([nus, np.full((len(nus), 1), 0.5)], axis=1)
+    gm_ext = _sym4(_recon_powers(frame["w"], frame["t"], nus_ext))
     return gm_ext[:, :-1], gm_ext[:, -1]
 
 
-def _pair_margins(check, ctx, m, big_m, nus, rel_tol, label):
+def _pair_margins(check, frame, means, m, big_m, nus, rel_tol, label):
     """Margins (name -> (P, J)) and tolerances (P, 1) of one pair check.
 
-    ctx is a pair stack from _diagonalize_pairs; m and big_m (P,) are the
-    spectral bounds that set h and the reverse constants; nus is the (P, J)
-    weight table.  The tolerance is rel_tol times the larger operator norm of
-    A and B.  label(p) names instance p in error messages.
+    frame is a pair stack from _diagonalize_pairs and means its
+    _geometric_stacks over nus, the (P, J) weight table; m and big_m (P,) are
+    the spectral bounds that set h and the reverse constants.  The tolerance
+    is rel_tol times the larger operator norm of A and B.  label(p) names
+    instance p in error messages; a non-finite margin raises NumericalError.
     """
-    ctx = {**ctx, "nus": nus}
     r = np.minimum(nus, 1.0 - nus)
-    a4 = ctx["a"][:, None, :, :]
-    b4 = ctx["b"][:, None, :, :]
+    a4 = frame["a"][:, None, :, :]
+    b4 = frame["b"][:, None, :, :]
     w = nus[:, :, None, None]
     r4 = r[:, :, None, None]
     am = (1.0 - w) * a4 + w * b4
-    gm, gm_half = _geometric_stacks(ctx)
-    bridge = 0.5 * (ctx["a"] + ctx["b"]) - gm_half
+    gm, gm_half = means
+    bridge = 0.5 * (frame["a"] + frame["b"]) - gm_half
     h = big_m / m
 
     if check == "refined_chain":
-        gm_inv, gm_inv_half = _geometric_stacks(ctx, inverse_side=True)
-        inv_a = _recon(ctx["q_a"], 1.0 / ctx["lam_a"])
-        inv_b = _recon(ctx["q_b"], 1.0 / ctx["lam_b"])
-        bridge_inv = 0.5 * (inv_a + inv_b) - gm_inv_half
-
         def ctx_msg(p, j):
             return f"check refined_chain instance ({label(p)}, nu={nus[p, j]})"
 
-        refined_hm = _inverse4(gm_inv + 2.0 * r4 * bridge_inv[:, None], ctx_msg)
-        hm = _inverse4((1.0 - w) * inv_a[:, None] + w * inv_b[:, None], ctx_msg)
+        # Both harmonic means in the frame, each W diag(1/d) W^T:
+        # refined HM with d = t^-nu + r (1 - t^-1/2)^2, HM with d = (1 - nu) + nu/t.
+        inv_t = _inverse4(
+            frame["t"][:, None], lambda p, j: f"check refined_chain instance ({label(p)})"
+        )
+        nu3 = nus[:, :, None]
+        d_refined = inv_t**nu3 + r[:, :, None] * (1.0 - np.sqrt(inv_t)) ** 2
+        w4 = frame["w"][:, None]
+        refined_hm = _sym4(_recon(w4, _inverse4(d_refined, ctx_msg)))
+        hm = _sym4(_recon(w4, _inverse4((1.0 - nu3) + nu3 * inv_t, ctx_msg)))
         bridge_min = _eigvals_min_stack(bridge)
         margins = {
             "am_vs_refined_gm": _min_eig4(am - gm - 2.0 * r4 * bridge[:, None]),
@@ -461,7 +492,7 @@ def _pair_margins(check, ctx, m, big_m, nus, rel_tol, label):
         root_h = np.sqrt(h)
         log_s = np.log(specht_ratio(root_h))
         c_global = h * np.sqrt(big_m) * log_mean(np.sqrt(big_m), np.sqrt(m)) * log_s
-        c_tight = root_h * log_mean(root_h, 1.0) * log_s * ctx["lam_a"][:, -1]
+        c_tight = root_h * log_mean(root_h, 1.0) * log_s * frame["lam_a"][:, -1]
         rhs_max = _max_eig4(am - gm - 2.0 * r4 * bridge[:, None])
         margins = {
             "reverse_difference": c_global[:, None] - rhs_max,
@@ -470,7 +501,7 @@ def _pair_margins(check, ctx, m, big_m, nus, rel_tol, label):
     elif check == "baseline_reverses":
         s = specht_ratio(h)
         diff_const = h * log_mean(m, big_m) * np.log(s)
-        eye = np.eye(ctx["a"].shape[-1])
+        eye = np.eye(frame["a"].shape[-1])
         margins = {
             "baseline_ratio": _min_eig4(s[:, None, None, None] * gm - am),
             "baseline_difference": _min_eig4(
@@ -480,17 +511,19 @@ def _pair_margins(check, ctx, m, big_m, nus, rel_tol, label):
     else:  # pragma: no cover - guarded by config validation
         raise ValueError(f"not a pair check: {check}")
 
-    return margins, rel_tol * ctx["scale"][:, None]
+    _require_finite(check, margins, nus, label)
+    return margins, rel_tol * frame["scale"][:, None]
 
 
-def _hm_margins(lam, q, x, nus):
+def _hm_margins(lam, q, x, nus, label):
     """State-vector margins (name -> (P, J)) and tolerances (P, 1).
 
     lam, q is the eigendecomposition of a (P, n, n) SPD stack, x the (P, n)
     unit vectors and nus the (P, J) weight table.  The refined margin is
     invariant under rescaling A, so it is evaluated on the spectrum normalized
     by the largest eigenvalue; that keeps its roundoff near machine precision
-    for operands of any magnitude.
+    for operands of any magnitude.  label(p) names instance p when a margin
+    is not finite, which raises NumericalError.
     """
     p = len(lam)
     r = np.minimum(nus, 1.0 - nus)
@@ -510,6 +543,7 @@ def _hm_margins(lam, q, x, nus):
     ) ** 2
     baseline = top[:, None] ** nus * (q_lin[:, None] ** nus - q_nu)
     margins = {"hm_refined": refined, "hm_baseline": baseline}
+    _require_finite("holder_mccarthy", margins, nus, label)
     return margins, np.full((p, 1), HM_ABS_TOL)
 
 
@@ -535,12 +569,13 @@ def _result(check, dim, nu, margins, scale, tols, seed, index):
 
 def _check_pair(check, pair, nu, rel_tol, seed, index):
     nu = _require_nu(nu)
-    ctx = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None])
+    nus = np.array([[nu]])
+    frame = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None])
     margins, tols = _pair_margins(
-        check, ctx, np.array([pair.m]), np.array([pair.big_m]), np.array([[nu]]), rel_tol,
-        lambda p: f"index={index}, dim={pair.n}",
+        check, frame, _geometric_stacks(frame, nus), np.array([pair.m]),
+        np.array([pair.big_m]), nus, rel_tol, lambda p: f"index={index}, dim={pair.n}",
     )
-    return _result(check, pair.n, nu, margins, ctx["scale"][0], tols, seed, index)
+    return _result(check, pair.n, nu, margins, frame["scale"][0], tols, seed, index)
 
 
 def check_refined_chain(pair: SpdPair, nu, rel_tol=DEFAULT_REL_TOL, seed=None, index=None) -> CheckResult:
@@ -575,7 +610,9 @@ def check_hm_refined(a: SymMatrix, x: UnitVector, nu, seed=None, index=None) -> 
     lam, q = _eigh_stack(a.entries[None])
     if lam[0, 0] <= 0.0:
         raise ValueError("matrix must be positive definite")
-    margins, tols = _hm_margins(lam, q, x.coords[None], np.array([[nu]]))
+    margins, tols = _hm_margins(
+        lam, q, x.coords[None], np.array([[nu]]), lambda p: f"index={index}, dim={a.n}"
+    )
     return _result("holder_mccarthy", a.n, nu, margins, 1.0, tols, seed, index)
 
 
@@ -584,40 +621,49 @@ def check_hm_refined(a: SymMatrix, x: UnitVector, nu, seed=None, index=None) -> 
 # ---------------------------------------------------------------------------
 
 def _gen_chunk_pairs(cfg, check, dim, indices):
-    a_raw = []
-    b_raw = []
+    """The pairs of a chunk: per-instance draws, one stacked QR and reconstruction."""
+    interior = []
+    gauss = []
     for k in indices:
         rng = _rng_for(cfg.seed, check, k)
-        a_raw.append(_random_spd_array(dim, cfg.m, cfg.big_m, rng))
-        b_raw.append(_random_spd_array(dim, cfg.m, cfg.big_m, rng))
-    return np.stack(a_raw), np.stack(b_raw)
+        for _ in range(2):  # A, then B
+            u, g = _draw_spd(rng, dim, cfg.m, cfg.big_m)
+            interior.append(u)
+            gauss.append(g)
+    mats = _spd_from_draws(np.stack(interior), np.stack(gauss), cfg.m, cfg.big_m)
+    return mats[0::2], mats[1::2]
 
 
 def _eval_pair_chunk(cfg, check, dim, indices):
     """Generate a chunk of pairs; bounds and h are certified from the computed spectra."""
-    ctx = _diagonalize_pairs(*_gen_chunk_pairs(cfg, check, dim, indices))
-    m_hat = np.minimum(ctx["lam_a"][:, 0], ctx["lam_b"][:, 0])
-    big_m_hat = ctx["scale"]
+    frame = _diagonalize_pairs(*_gen_chunk_pairs(cfg, check, dim, indices))
+    m_hat = np.minimum(frame["lam_a"][:, 0], frame["lam_b"][:, 0])
+    big_m_hat = frame["scale"]
     nus = _nu_table(cfg.nu_grid, big_m_hat / m_hat)
     margins, tols = _pair_margins(
-        check, ctx, m_hat, big_m_hat, nus, cfg.rel_tol,
+        check, frame, _geometric_stacks(frame, nus), m_hat, big_m_hat, nus, cfg.rel_tol,
         lambda p: f"seed={cfg.seed}, index={indices[p]}, dim={dim}",
     )
     return nus, margins, tols
 
 
 def _eval_hm_chunk(cfg, dim, indices):
-    a_raw = []
+    interior = []
+    gauss = []
     vecs = []
     for k in indices:
         rng = _rng_for(cfg.seed, "holder_mccarthy", k)
-        a_raw.append(_random_spd_array(dim, cfg.m, cfg.big_m, rng))
+        u, g = _draw_spd(rng, dim, cfg.m, cfg.big_m)
+        interior.append(u)
+        gauss.append(g)
         vecs.append(gen_unit_vector(dim, rng).coords)
-    lam, q = _eigh_stack(np.stack(a_raw))
+    lam, q = _eigh_stack(_spd_from_draws(np.stack(interior), np.stack(gauss), cfg.m, cfg.big_m))
     if lam[:, 0].min() <= 0.0:
         raise SingularMatrixError("generated matrix is not positive definite")
     nus = _nu_table(cfg.nu_grid, lam[:, -1] / lam[:, 0])
-    margins, tols = _hm_margins(lam, q, np.stack(vecs), nus)
+    margins, tols = _hm_margins(
+        lam, q, np.stack(vecs), nus, lambda p: f"seed={cfg.seed}, index={indices[p]}, dim={dim}"
+    )
     return nus, margins, tols
 
 
@@ -677,12 +723,13 @@ def run_pair(pair: SpdPair, nu_grid=DEFAULT_NU_GRID, rel_tol=DEFAULT_REL_TOL):
     """
     _validate_weights(nu_grid, rel_tol)
     nus = _nu_table(nu_grid, [pair.h])
-    ctx = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None])
+    frame = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None])
+    means = _geometric_stacks(frame, nus)
     aggregates = []
     for check in PAIR_CHECK_NAMES:
         acc = _Accumulator(check)
         margins, tols = _pair_margins(
-            check, ctx, np.array([pair.m]), np.array([pair.big_m]), nus, rel_tol,
+            check, frame, means, np.array([pair.m]), np.array([pair.big_m]), nus, rel_tol,
             lambda p: f"pair, dim={pair.n}",
         )
         acc.update(None, (0,), pair.n, nus, margins, tols)

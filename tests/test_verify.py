@@ -135,6 +135,33 @@ def test_gen_pair_whitened_spectrum_within_h():
     assert lam.max() <= h + 1e-10
 
 
+def _spd_array_oracle(dim, m, big_m, rng):
+    # the per-instance generation formula, one matrix at a time
+    interior = rng.uniform(m, big_m, size=dim - 2)
+    eigvals = np.concatenate(([m, big_m], interior))
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    signs = np.sign(np.diagonal(r))
+    q = q * np.where(signs == 0.0, 1.0, signs)
+    mat = (q * eigvals) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 12])
+def test_stacked_generation_bitwise_equals_per_instance(dim):
+    # a chunk's QR and reconstruction run once on the stacked draws; every
+    # instance must still be exactly the matrix of its own stream
+    cfg = SuiteConfig(seed=11, m=1.0, big_m=10.0)
+    indices = list(range(dim, dim + 4 * 64, 4))
+    a, b = verify._gen_chunk_pairs(cfg, "reverse_ratio", dim, indices)
+    for p, k in enumerate(indices):
+        rng = rng_for(cfg.seed, "reverse_ratio", k)
+        assert np.array_equal(a[p], _spd_array_oracle(dim, cfg.m, cfg.big_m, rng)), k
+        assert np.array_equal(b[p], _spd_array_oracle(dim, cfg.m, cfg.big_m, rng)), k
+        rng = rng_for(cfg.seed, "reverse_ratio", k)
+        assert np.array_equal(a[p], verify._random_spd_array(dim, cfg.m, cfg.big_m, rng)), k
+        assert np.array_equal(b[p], verify._random_spd_array(dim, cfg.m, cfg.big_m, rng)), k
+
+
 def test_unit_vector_validation():
     with pytest.raises(ValueError):
         UnitVector(np.array([1.0, 1.0]))
@@ -453,6 +480,64 @@ def test_suite_records_errors_and_continues(monkeypatch):
     assert by_name["baseline_reverses"].results == 4 * 23
     doc = report.to_json_dict()
     assert "errors" in doc
+
+
+@pytest.mark.parametrize("h", [1e2, 1e4, 1e6])
+def test_conditioning_sweep_has_no_false_violations(h):
+    # every checked inequality is a theorem, so at the default tolerance a
+    # violation could only be roundoff; the harmonic links are read off the
+    # congruence frame instead of inverting matrices of condition up to h^2
+    report = run_suite(SuiteConfig(trials=200, big_m=h))
+    assert not report.errors
+    assert [(c.name, c.violations) for c in report.checks] == [(name, 0) for name in CHECK_NAMES]
+
+
+@pytest.mark.parametrize("h", [10.0, 1e3])
+def test_frame_harmonic_margins_match_explicit_inverse(h):
+    # the frame route against the explicit-inverse reference at moderate h,
+    # where inverting (1-nu) A^-1 + nu B^-1 and its refined form is accurate
+    for k in range(8):
+        dim = (2, 3, 4, 8)[k % 4]
+        pair = gen_spd_pair(dim, 1.0, h, rng_for(1, "refined_chain", k))
+        a, b = pair.a.entries, pair.b.entries
+        for nu in augmented_nu_grid((0.0, 0.1, 0.35, 0.5, 0.8, 1.0), pair.h):
+            got = check_refined_chain(pair, nu)
+            want = pair_margins("refined_chain", a, b, nu)
+            for name in ("gm_vs_refined_hm", "refined_hm_vs_hm"):
+                assert got.margins[name] == pytest.approx(want[name], abs=got.tol), (k, nu, name)
+
+
+def test_harmonic_route_refuses_unresolved_frame_spectrum():
+    # T = A^-1/2 B A^-1/2 has spectrum {1e-13, 1}: the route divides by t,
+    # and t is below the inversion floor relative to the largest t
+    pair = diag_pair([1.0, 1.0], [1e-13, 1.0])
+    with pytest.raises(SingularMatrixError, match=r"refined_chain instance \(index=4, dim=2\)"):
+        check_refined_chain(pair, 0.5, index=4)
+    # the checks without a harmonic route stay defined
+    assert check_reverse_ratio(pair, 0.5).margins["reverse_ratio"] >= 0.0
+
+
+def test_non_finite_pair_margin_is_a_numerical_error(monkeypatch):
+    # a NaN constant reaches the difference margins without an eigensolve
+    monkeypatch.setattr(verify, "log_mean", lambda x, y: np.full(np.shape(x), np.nan))
+    report = run_suite(SuiteConfig(trials=4, dims=(2,), checks=("reverse_difference",)))
+    assert not report.passed
+    assert len(report.errors) == 1
+    message = report.errors[0]["message"]
+    assert "non-finite margin reverse_difference in check reverse_difference" in message
+    assert "(seed=0, index=0, dim=2, nu=0.0)" in message
+
+
+def test_non_finite_state_vector_margin_is_a_numerical_error(monkeypatch):
+    class NanVector:
+        def __init__(self, dim, rng):
+            self.coords = np.full(dim, np.nan)
+
+    monkeypatch.setattr(verify, "gen_unit_vector", NanVector)
+    report = run_suite(SuiteConfig(trials=4, dims=(3,), checks=("holder_mccarthy",)))
+    assert not report.passed
+    assert len(report.errors) == 1
+    assert "non-finite margin hm_refined in check holder_mccarthy" in report.errors[0]["message"]
 
 
 def test_check_result_invariant():
