@@ -7,6 +7,12 @@ spectral operations (fractional powers, square root, inverse, extremal
 eigenvalues, Loewner margins) go through the in-house Jacobi solver; the
 decomposition of a matrix is cached on the instance, which is safe because
 instances are immutable.
+
+The solver works on stacks.  It rotates a batch-last (n, n, B) copy of a
+(B, n, n) stack: there a row or a column of every matrix at once is n
+contiguous rows of length B, so the cost of a rotation is arithmetic on long
+rows rather than B strided gathers of length n.  The rotations, their order
+and their floating-point expressions are those of a matrix-by-matrix solve.
 """
 
 from __future__ import annotations
@@ -183,17 +189,14 @@ class EigenDecomp:
     lam: np.ndarray
 
 
-def _offdiag_indices(n):
-    return np.triu_indices(n, k=1)
-
-
 def _jacobi_rotate_batch(a, v, p, q):
-    """One vectorized (p, q) rotation across a stack; annihilates a[:, p, q]."""
-    apq = a[:, p, q]
+    """One vectorized (p, q) rotation across a batch-last (n, n, B) stack;
+    annihilates a[p, q].  Every slice it touches is a row of length B."""
+    apq = a[p, q]
     mask = apq != 0.0
     if not mask.any():
         return
-    delta = a[:, q, q] - a[:, p, p]
+    delta = a[q, q] - a[p, p]
     # stable small-angle tangent: t solves apq*t^2 + delta*t - apq = 0,
     # written without overflow via the hypotenuse form
     sgn = np.where(delta >= 0.0, 1.0, -1.0)
@@ -201,70 +204,83 @@ def _jacobi_rotate_batch(a, v, p, q):
     t = np.where(mask, 2.0 * apq * sgn / np.where(mask, denom, 1.0), 0.0)
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = t * c
-    cp = c[:, None]
-    sp = s[:, None]
 
-    col_p = a[:, :, p].copy()
-    col_q = a[:, :, q].copy()
-    a[:, :, p] = cp * col_p - sp * col_q
-    a[:, :, q] = sp * col_p + cp * col_q
-    row_p = a[:, p, :].copy()
-    row_q = a[:, q, :].copy()
-    a[:, p, :] = cp * row_p - sp * row_q
-    a[:, q, :] = sp * row_p + cp * row_q
+    _rotate_rows(a[:, p], a[:, q], c, s)
+    _rotate_rows(a[p], a[q], c, s)
     # the rotation is chosen to zero this entry; write the exact zero
-    a[:, p, q] = 0.0
-    a[:, q, p] = 0.0
+    a[p, q] = 0.0
+    a[q, p] = 0.0
 
     if v is not None:
-        vec_p = v[:, :, p].copy()
-        vec_q = v[:, :, q].copy()
-        v[:, :, p] = cp * vec_p - sp * vec_q
-        v[:, :, q] = sp * vec_p + cp * vec_q
+        _rotate_rows(v[:, p], v[:, q], c, s)
+
+
+def _rotate_rows(x_p, x_q, c, s):
+    """(x_p, x_q) <- (c x_p - s x_q, s x_p + c x_q) in place, on two (n, B) views."""
+    new_p = c * x_p
+    new_p -= s * x_q
+    # c x_q + s x_p is s x_p + c x_q bit for bit: IEEE + and * commute
+    x_q *= c
+    x_q += s * x_p
+    x_p[...] = new_p
 
 
 def _eigh_stack(stack, need_vectors=True, max_sweeps=_MAX_SWEEPS):
     """Cyclic Jacobi on a (B, n, n) stack of symmetric matrices.
 
     Returns (lam, q) with lam (B, n) ascending and q (B, n, n) orthogonal
-    (q is None when need_vectors is False).  Raises ConvergenceError if any
-    matrix in the stack fails to reach the off-diagonal tolerance.
+    (q is None when need_vectors is False).  Raises NumericalError naming the
+    first matrix with a non-finite entry, and ConvergenceError if any matrix
+    in the stack fails to reach the off-diagonal tolerance.
+
+    The rotations run on one batch-last (n, n, B) copy of the stack, where
+    each numpy operation of a rotation streams over rows of length B instead
+    of gathering B strided pieces of length n; lam and q are transposed back
+    once at the end.  Norms and sweep residuals are summed in the order of
+    the (B, n, n) layout, so sweep counts and results are bitwise those of
+    rotating that layout in place.
     """
-    a = np.array(stack, dtype=float, copy=True)
+    a = np.asarray(stack, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a (B, n, n) stack, got shape {a.shape}")
     batch, n, _ = a.shape
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(
+            f"non-finite entry in matrix {int(np.argmin(finite))} of a stack of {batch}"
+        )
+    fro = np.sqrt((a * a).sum(axis=(1, 2)))
+    tol = _OFF_TOL * fro
+    # the one copy; a view here would alias the caller's array when B = 1
+    a = np.array(a.transpose(1, 2, 0), order="C")
+    diag = np.arange(n)
     v = None
     if need_vectors:
         v = np.zeros_like(a)
-        v[:, np.arange(n), np.arange(n)] = 1.0
+        v[diag, diag] = 1.0
 
-    iu = _offdiag_indices(n)
-    fro = np.sqrt((a * a).sum(axis=(1, 2)))
-    tol = _OFF_TOL * fro
-    converged = False
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * (a[:, iu[0], iu[1]] ** 2).sum(axis=1))
+    iu = np.triu_indices(n, k=1)
+    for sweep in range(max_sweeps + 1):
+        # (B, K) contiguous, so each sum runs in the order of the (B, n, n) layout
+        upper = a[iu].T.copy()
+        off = np.sqrt(2.0 * (upper**2).sum(axis=1))
         if np.all(off <= tol):
-            converged = True
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate_batch(a, v, p, q)
-    if not converged:
-        off = np.sqrt(2.0 * (a[:, iu[0], iu[1]] ** 2).sum(axis=1))
-        if not np.all(off <= tol):
+        if sweep == max_sweeps:
             worst = float((off / np.maximum(fro, 1e-300)).max())
             raise ConvergenceError(
                 f"Jacobi sweeps exhausted after {max_sweeps} sweeps", worst
             )
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _jacobi_rotate_batch(a, v, p, q)
 
-    lam = np.diagonal(a, axis1=1, axis2=2).copy()
+    lam = a[diag, diag].T
     order = np.argsort(lam, axis=1, kind="stable")
     lam = np.take_along_axis(lam, order, axis=1)
     if not need_vectors:
         return lam, None
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    v = np.take_along_axis(v.transpose(2, 0, 1), order[:, None, :], axis=2)
     # deterministic sign: largest-magnitude component of each column positive
     lead = np.argmax(np.abs(v), axis=1)
     signs = np.sign(np.take_along_axis(v, lead[:, None, :], axis=1))[:, 0, :]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lapack_reference import pair_bounds, worst_and_violations
-from opmeans import cli
+from opmeans import cli, verify
 from opmeans.cli import main
 from opmeans.matrices import SingularMatrixError, SymMatrix, save_matrix
 from opmeans.verify import DEFAULT_NU_GRID, augmented_nu_grid
@@ -198,6 +198,24 @@ def test_verify_numerical_error_exit(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "run_suite", boom)
     assert main(FAST_VERIFY) == 3
+
+
+def test_verify_non_finite_matrix_entry_exits_3(monkeypatch, capsys):
+    # the eigensolver rejects the stack on entry: no sweeps, no warnings
+    real = verify._spd_from_draws
+
+    def poisoned(interior, gauss, m, big_m):
+        mats = real(interior, gauss, m, big_m)
+        mats[1, 0, 2] = mats[1, 2, 0] = np.nan
+        return mats
+
+    monkeypatch.setattr(verify, "_spd_from_draws", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--trials", "8", "--dims", "3", "--checks", "holder_mccarthy"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error in holder_mccarthy: non-finite entry in matrix 1 " in err
+    assert "Jacobi" not in err
 
 
 def test_verify_infinite_upper_bound_rejected(capsys):

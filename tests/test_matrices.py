@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from opmeans import matrices
 from opmeans.matrices import (
     ConvergenceError,
     NotPositiveSemidefiniteError,
+    NumericalError,
     SingularMatrixError,
     SymMatrix,
     frobenius_norm,
@@ -312,13 +314,40 @@ def test_load_accepts_roundoff_asymmetry(tmp_path):
 # Batched kernel consistency
 # ---------------------------------------------------------------------------
 
-def test_stack_solver_matches_single():
-    rng = np.random.default_rng(41)
-    mats = [random_sym(rng, 5) for _ in range(20)]
+@pytest.mark.parametrize("need_vectors", [True, False])
+@pytest.mark.parametrize("batch", [1, 23, 300])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+def test_stack_solver_matches_single(n, batch, need_vectors):
+    rng = np.random.default_rng([41, n, batch])
+    mats = [random_sym(rng, n) for _ in range(batch)]
     stack = np.stack([m.entries for m in mats])
-    lam, q = matrices._eigh_stack(stack)
+    before = stack.copy()
+    lam, q = matrices._eigh_stack(stack, need_vectors=need_vectors)
+    assert np.array_equal(stack, before)
+    assert lam.shape == (batch, n)
+    if not need_vectors:
+        assert q is None
+    else:
+        assert q.shape == (batch, n, n)
+        # deterministic sign: the largest-magnitude component of each eigenvector is positive
+        lead = np.take_along_axis(q, np.argmax(np.abs(q), axis=1)[:, None, :], axis=1)
+        assert np.all(lead > 0.0)
     for i, m in enumerate(mats):
         ref = np.linalg.eigvalsh(m.entries)
-        assert np.allclose(lam[i], ref, atol=1e-11 * max(1.0, operator_norm(m)))
-        recon = (q[i] * lam[i]) @ q[i].T
-        assert np.linalg.norm(recon - m.entries) <= 1e-12 * max(frobenius_norm(m), 1e-30)
+        assert np.allclose(lam[i], ref, atol=1e-11 * max(1.0, np.abs(ref).max()))
+        if need_vectors:
+            recon = (q[i] * lam[i]) @ q[i].T
+            assert np.linalg.norm(recon - m.entries) <= 1e-12 * max(frobenius_norm(m), 1e-30)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stack_solver_rejects_non_finite_entry(bad):
+    rng = np.random.default_rng(7)
+    stack = np.stack([random_sym(rng, 8).entries for _ in range(1472)])
+    stack[917, 2, 5] = stack[917, 5, 2] = bad
+    stack[1200, 0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite entry in matrix 917 ") as err:
+            matrices._eigh_stack(stack)
+    assert not isinstance(err.value, ConvergenceError)
