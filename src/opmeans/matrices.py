@@ -1,18 +1,22 @@
-"""Dense real symmetric matrices, a cyclic Jacobi eigensolver, and spectral
-matrix functions.
+"""Dense real symmetric matrices, a cyclic Jacobi eigensolver, a smallest-
+eigenvalue solver for stacks, and spectral matrix functions.
 
 The carrier type is :class:`SymMatrix`, which can only be built through
 symmetrizing constructors so its symmetry invariant holds exactly.  All
-spectral operations (fractional powers, square root, inverse, extremal
-eigenvalues, Loewner margins) go through the in-house Jacobi solver; the
-decomposition of a matrix is cached on the instance, which is safe because
+spectral operations on a SymMatrix (fractional powers, square root, inverse,
+extremal eigenvalues, Loewner margins) go through the in-house Jacobi solver;
+the decomposition of a matrix is cached on the instance, which is safe because
 instances are immutable.
 
-The solver works on stacks.  It rotates a batch-last (n, n, B) copy of a
-(B, n, n) stack: there a row or a column of every matrix at once is n
-contiguous rows of length B, so the cost of a rotation is arithmetic on long
-rows rather than B strided gathers of length n.  The rotations, their order
-and their floating-point expressions are those of a matrix-by-matrix solve.
+Both stack solvers work on a batch-last (n, n, B) copy of a (B, n, n) stack:
+there a row or a column of every matrix at once is n contiguous rows of length
+B, so each numpy operation is arithmetic on long rows rather than B strided
+gathers of length n.  _eigh_stack rotates that copy by cyclic Jacobi; its
+rotations, their order and their floating-point expressions are those of a
+matrix-by-matrix solve.  _eigvals_min_stack, which serves the Loewner margins
+of the verifier, computes no eigenvectors and no other eigenvalue: it reduces
+each matrix to a tridiagonal by Householder reflections and brackets the
+smallest eigenvalue by Sturm-sequence bisection.
 """
 
 from __future__ import annotations
@@ -49,6 +53,15 @@ MAX_DIM = 64
 # input Frobenius norm; 30 sweeps is far beyond what n <= 64 ever needs.
 _OFF_TOL = 1e-14
 _MAX_SWEEPS = 30
+
+# Smallest eigenvalues by multisection: each step splits every open bracket
+# into 8 at 7 shifts, so about 17 steps close one from Gershgorin width to
+# roundoff; a bracket still open after 60 steps is an error.
+_BISECT_SHIFTS = 7
+_BISECT_MAX_STEPS = 60
+# A Householder column whose squared norm is below this (on a stack scaled to
+# max|entry| in [0.5, 1)) is taken as zero rather than reflected.
+_NULL_COLUMN = 1e-200
 
 # Eigenvalues in [-1e-10*||A||, 0) are roundoff negatives on numerically PSD
 # input and are clamped to 0 for sqrt / fractional powers; inversion requires
@@ -225,6 +238,20 @@ def _rotate_rows(x_p, x_q, c, s):
     x_p[...] = new_p
 
 
+def _checked_stack(stack):
+    """The (B, n, n) float array of a stack; NumericalError names the first
+    matrix with a non-finite entry."""
+    a = np.asarray(stack, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a (B, n, n) stack, got shape {a.shape}")
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(
+            f"non-finite entry in matrix {int(np.argmin(finite))} of a stack of {len(a)}"
+        )
+    return a
+
+
 def _eigh_stack(stack, need_vectors=True, max_sweeps=_MAX_SWEEPS):
     """Cyclic Jacobi on a (B, n, n) stack of symmetric matrices.
 
@@ -240,15 +267,8 @@ def _eigh_stack(stack, need_vectors=True, max_sweeps=_MAX_SWEEPS):
     the (B, n, n) layout, so sweep counts and results are bitwise those of
     rotating that layout in place.
     """
-    a = np.asarray(stack, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a (B, n, n) stack, got shape {a.shape}")
+    a = _checked_stack(stack)
     batch, n, _ = a.shape
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericalError(
-            f"non-finite entry in matrix {int(np.argmin(finite))} of a stack of {batch}"
-        )
     fro = np.sqrt((a * a).sum(axis=(1, 2)))
     tol = _OFF_TOL * fro
     # the one copy; a view here would alias the caller's array when B = 1
@@ -289,9 +309,129 @@ def _eigh_stack(stack, need_vectors=True, max_sweeps=_MAX_SWEEPS):
     return lam, v
 
 
-def _eigvals_min_stack(stack, max_sweeps=_MAX_SWEEPS):
-    lam, _ = _eigh_stack(stack, need_vectors=False, max_sweeps=max_sweeps)
-    return lam[:, 0]
+def _eigvals_min_stack(stack):
+    """Smallest eigenvalue of each matrix of a (B, n, n) symmetric stack.
+
+    Each matrix is scaled by a power of two (exactly) to max|entry| in
+    [0.5, 1), reduced to a tridiagonal by Householder reflections, and its
+    smallest eigenvalue bracketed by Sturm-sequence multisection (Golub & Van
+    Loan, Matrix Computations, sections 8.3 and 8.4).  Like _eigh_stack it
+    works on a batch-last (n, n, B) copy.  Every operation is elementwise
+    across the stack and every sum runs in a fixed order, and a bracket stops
+    moving once it has closed, so each result is bitwise the same alone as in
+    any stack.  Raises NumericalError naming the first matrix with a
+    non-finite entry, or if a bracket does not close within the step cap.
+    """
+    a = _checked_stack(stack)
+    _, exponent = np.frexp(np.abs(a).max(axis=(1, 2)))
+    d, e = _tridiagonal(np.ldexp(a.transpose(1, 2, 0), -exponent, order="C"))
+    return np.ldexp(_lowest_eigenvalues(d, e), exponent)
+
+
+def _sum_rows(x):
+    """x[0] + x[1] + ... in that order, whatever the length of the rows."""
+    total = x[0].copy()
+    for row in x[1:]:
+        total += row
+    return total
+
+
+def _tridiagonal(a):
+    """Householder reduction of a batch-last (n, n, B) stack, overwritten, to
+    the diagonal d (n, B) and off-diagonal e (n - 1, B) of a similar
+    tridiagonal.
+
+    H = I - beta v v^T maps the column x below the diagonal to alpha e_1.  The
+    products with v are sums of rows in index order, never a matmul or a numpy
+    reduction, whose summation order could depend on the size of the stack.
+    """
+    n = len(a)
+    e = np.zeros((n - 1, a.shape[-1]))
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        norm2 = _sum_rows(x * x)
+        norm = np.sqrt(norm2)
+        alpha = np.where(x[0] > 0.0, -norm, norm)
+        v = x.copy()
+        v[0] -= alpha
+        # beta = 2 / v.v = 1 / (|x|^2 + |x| |x_0|)
+        gap = norm2 + norm * np.abs(x[0])
+        beta = np.where(norm2 > _NULL_COLUMN, 1.0 / np.maximum(gap, _NULL_COLUMN), 0.0)
+        sub = a[k + 1:, k + 1:]
+        p = beta * _sum_rows(sub * v[:, None])
+        w = p - (0.5 * beta * _sum_rows(p * v)) * v
+        sub -= v[:, None] * w + w[:, None] * v
+        e[k] = alpha
+    if n > 1:
+        e[-1] = a[-1, -2]
+    diag = np.arange(n)
+    return a[diag, diag], e
+
+
+def _lowest_eigenvalues(d, e):
+    """Smallest eigenvalue of each tridiagonal with diagonal d (n, B) and
+    off-diagonal e (n - 1, B).
+
+    The bracket starts at [Gershgorin lower bound, min d].  Each step splits
+    it into 8 at 7 shifts and keeps the eighth that ends at the first shift
+    with an eigenvalue below it, until the bracket is within
+    2 eps (max|d| + 2 max|e|); the result is its midpoint.  A closed bracket
+    is frozen, so the other matrices of the stack never move it.
+    """
+    size = np.abs(e)
+    radius = np.zeros_like(d)
+    radius[:-1] += size
+    radius[1:] += size
+    lo = (d - radius).min(axis=0)
+    hi = d.min(axis=0)
+    tol = 2.0 * np.finfo(float).eps * (
+        np.abs(d).max(axis=0) + 2.0 * size.max(axis=0, initial=0.0)
+    )
+    # e^2 raised off zero: a zero pivot then gives an infinite one, never 0/0
+    e2 = np.maximum(e * e, np.finfo(float).tiny)
+    parts = _BISECT_SHIFTS + 1
+    ends = np.arange(parts + 1) / parts
+    fractions = ends[1:-1, None]
+    lam = np.empty(d.shape[-1])
+    index = np.arange(d.shape[-1])
+    for step in range(_BISECT_MAX_STEPS + 1):
+        width = hi - lo
+        open_ = width > tol
+        if not open_.all():
+            lam[index[~open_]] = 0.5 * (lo + hi)[~open_]
+            index, lo, hi, width, tol, d, e2 = (
+                x[..., open_] for x in (index, lo, hi, width, tol, d, e2)
+            )
+        if not index.size:
+            return lam
+        if step == _BISECT_MAX_STEPS:
+            raise NumericalError(
+                f"bisection left matrix {int(index[0])} of a stack of {len(lam)} "
+                f"unresolved after {_BISECT_MAX_STEPS} steps"
+            )
+        below = _sturm_below(d, e2, lo + width * fractions)
+        # count the shifts before the first one with an eigenvalue below it;
+        # the new ends are recomputed by the expression that made those shifts
+        for row in range(1, _BISECT_SHIFTS):
+            below[row] |= below[row - 1]
+        first = _BISECT_SHIFTS - np.count_nonzero(below, axis=0)
+        lo, hi = (
+            lo + width * ends[first],
+            np.where(first == _BISECT_SHIFTS, hi, lo + width * ends[first + 1]),
+        )
+
+
+def _sturm_below(d, e2, shifts):
+    """Whether the tridiagonal with diagonal d (n, A) and squared off-diagonal
+    e2 (n - 1, A) has an eigenvalue below each of shifts (S, A): whether any
+    pivot of the LDL^T factorization of T - shift I is negative."""
+    q = d[0] - shifts
+    below = q < 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(1, len(d)):
+            q = (d[i] - shifts) - e2[i - 1] / q
+            below |= q < 0.0
+    return below
 
 
 def jacobi_eigen(a: SymMatrix, max_sweeps=_MAX_SWEEPS) -> EigenDecomp:

@@ -39,6 +39,13 @@ The harmonic means therefore invert diagonals, never a matrix of condition up
 to h^2, and run_pair builds the frame and the GM stack once for all four
 checks.  A margin that is not finite, or a t at or below the inversion floor,
 raises NumericalError naming the instance.
+
+Each pair margin is the smallest (or, for the difference reverse, largest)
+eigenvalue of a stack of margin matrices.  _min_eig4 and _max_eig4 take it
+from matrices._eigvals_min_stack (Householder tridiagonalization and Sturm
+bisection, no eigenvectors), which gives each matrix the same bits alone as in
+its chunk.  The frames and the state-vector margins need eigenvectors and use
+the Jacobi solver matrices._eigh_stack.
 """
 
 from __future__ import annotations

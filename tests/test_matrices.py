@@ -351,3 +351,126 @@ def test_stack_solver_rejects_non_finite_entry(bad):
         with pytest.raises(NumericalError, match="non-finite entry in matrix 917 ") as err:
             matrices._eigh_stack(stack)
     assert not isinstance(err.value, ConvergenceError)
+
+
+# ---------------------------------------------------------------------------
+# Smallest eigenvalues of a stack (Householder tridiagonal, Sturm bisection)
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+# error bound c * n * eps * max|lambda| against LAPACK; the largest c measured
+# over the cases below is about 2.9
+MIN_EIG_C = 4.0
+
+
+def _with_spectrum(rng, lam):
+    q, r = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
+    q = q * np.sign(np.diag(r))
+    m = (q * lam) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def _mixed_stack(rng, n, batch):
+    """Random symmetric, known-spectrum, diagonal and scalar matrices at
+    scales from 1e-150 to 1e150, so brackets close after different steps."""
+    mats = []
+    for i in range(batch):
+        scale = 10.0 ** float(rng.choice([-150, -8, 0, 3, 8, 150]))
+        kind = i % 5
+        if kind == 0:
+            m = rng.normal(size=(n, n))
+            m = m + m.T
+        elif kind == 1:
+            lam = rng.uniform(1.0, 10.0, n)
+            lam[: max(1, n // 3)] = lam.min()  # repeated smallest eigenvalue
+            m = _with_spectrum(rng, lam)
+        elif kind == 2:
+            m = -_with_spectrum(rng, rng.uniform(1.0, 10.0, n))  # negative definite
+        elif kind == 3:
+            m = np.diag(rng.normal(size=n))
+        else:
+            m = float(rng.normal()) * np.eye(n)
+        mats.append(scale * m)
+    return np.stack(mats)
+
+
+def _assert_close_to_lapack(stack, got):
+    ref = np.linalg.eigvalsh(stack)
+    n = stack.shape[-1]
+    bound = MIN_EIG_C * n * EPS * np.abs(ref).max(axis=1)
+    assert np.all(np.abs(got - ref[:, 0]) <= bound)
+
+
+@pytest.mark.parametrize("batch", [1, 23, 300])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12, 16])
+def test_min_eig_stack_matches_lapack(n, batch):
+    rng = np.random.default_rng([43, n, batch])
+    for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+        m = rng.normal(size=(batch, n, n))
+        stack = scale * (m + m.transpose(0, 2, 1))
+        before = stack.copy()
+        got = matrices._eigvals_min_stack(stack)
+        assert np.array_equal(stack, before)
+        assert got.shape == (batch,)
+        _assert_close_to_lapack(stack, got)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 16])
+def test_min_eig_stack_structured_inputs(n):
+    # diagonal and block-diagonal input split the tridiagonal; repeated
+    # smallest eigenvalues and negative definite input
+    rng = np.random.default_rng([47, n])
+    stack = _mixed_stack(rng, n, 60)
+    blocks = np.zeros((20, n, n))
+    for i in range(0, n - 1, 2):
+        blocks[:, i:i + 2, i:i + 2] = rng.normal(size=(20, 2, 2))
+    if n % 2:
+        blocks[:, -1, -1] = rng.normal(size=20)
+    blocks = blocks + blocks.transpose(0, 2, 1)
+    perm = rng.permutation(n)
+    stack = np.concatenate([stack, blocks, blocks[:, perm][:, :, perm]])
+    _assert_close_to_lapack(stack, matrices._eigvals_min_stack(stack))
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_min_eig_stack_exact_on_scalar_and_diagonal(n):
+    rng = np.random.default_rng([53, n])
+    values = [0.0, 1.0, -2.5, 3.7e-300, -1.1e300, 7.0 / 3.0]
+    scalar = np.stack([c * np.eye(n) for c in values])
+    assert np.array_equal(matrices._eigvals_min_stack(scalar), values)
+    assert np.array_equal(matrices._eigvals_min_stack(np.zeros((3, n, n))), np.zeros(3))
+    diag = rng.normal(size=(40, n)) * 10.0 ** rng.integers(-100, 100, size=(40, 1))
+    stack = np.zeros((40, n, n))
+    stack[:, np.arange(n), np.arange(n)] = diag
+    assert np.array_equal(matrices._eigvals_min_stack(stack), diag.min(axis=1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 12, 16])
+def test_min_eig_stack_is_independent_of_the_stack(n):
+    rng = np.random.default_rng([59, n])
+    stack = _mixed_stack(rng, n, 45)
+    together = matrices._eigvals_min_stack(stack)
+    alone = np.array([matrices._eigvals_min_stack(m[None])[0] for m in stack])
+    assert np.array_equal(together, alone)
+    order = rng.permutation(len(stack))
+    assert np.array_equal(matrices._eigvals_min_stack(stack[order]), together[order])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_min_eig_stack_rejects_non_finite_entry(bad):
+    rng = np.random.default_rng(7)
+    stack = np.stack([random_sym(rng, 8).entries for _ in range(1472)])
+    stack[917, 2, 5] = stack[917, 5, 2] = bad
+    stack[1200, 0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="non-finite entry in matrix 917 of a stack of 1472"):
+            matrices._eigvals_min_stack(stack)
+
+
+def test_min_eig_stack_step_cap_is_an_error(monkeypatch):
+    rng = np.random.default_rng(61)
+    stack = np.stack([random_sym(rng, 6).entries for _ in range(5)])
+    monkeypatch.setattr(matrices, "_BISECT_MAX_STEPS", 4)
+    with pytest.raises(NumericalError, match="unresolved after 4 steps"):
+        matrices._eigvals_min_stack(stack)

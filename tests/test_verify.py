@@ -413,8 +413,10 @@ def test_suite_json_schema(small_report):
 )
 def test_suite_batched_matches_reference_path(check_name, check_fn):
     # the suite aggregate and every per-instance margin against the LAPACK
-    # reference, which shares no eigensolver or means code with the library
-    cfg = SuiteConfig(trials=6, dims=(2, 4), seed=3, checks=(check_name,))
+    # reference, which shares no eigensolver or means code with the library;
+    # n = 8 and 12 give the margin eigenvalues long Householder reductions
+    # and Sturm sequences
+    cfg = SuiteConfig(trials=8, dims=(2, 4, 8, 12), seed=3, checks=(check_name,))
     report = run_suite(cfg)
     worst = math.inf
     violations = 0
