@@ -14,9 +14,10 @@ B, so each numpy operation is arithmetic on long rows rather than B strided
 gathers of length n.  _eigh_stack rotates that copy by cyclic Jacobi; its
 rotations, their order and their floating-point expressions are those of a
 matrix-by-matrix solve.  _eigvals_min_stack, which serves the Loewner margins
-of the verifier, computes no eigenvectors and no other eigenvalue: it reduces
-each matrix to a tridiagonal by Householder reflections and brackets the
-smallest eigenvalue by Sturm-sequence bisection.
+and the spectral bounds of the verifier, computes no eigenvectors and no other
+eigenvalue: it reduces each matrix to a tridiagonal by Householder reflections
+and finds the smallest eigenvalue by Laguerre's iteration on the pivots of
+the LDL^T factorization, inside a bracket kept by their signs.
 """
 
 from __future__ import annotations
@@ -54,11 +55,12 @@ MAX_DIM = 64
 _OFF_TOL = 1e-14
 _MAX_SWEEPS = 30
 
-# Smallest eigenvalues by multisection: each step splits every open bracket
-# into 8 at 7 shifts, so about 17 steps close one from Gershgorin width to
-# roundoff; a bracket still open after 60 steps is an error.
-_BISECT_SHIFTS = 7
-_BISECT_MAX_STEPS = 60
+# Smallest eigenvalues by Laguerre's iteration.  It converges cubically to a
+# simple eigenvalue, a few steps from Gershgorin width to roundoff, but only
+# linearly to a multiple one: at n = 64 by as little as a factor 0.78 per
+# step (multiplicity 36), about 150 steps.  A bracket still open after 200
+# steps is an error.
+_LAGUERRE_MAX_STEPS = 200
 # A Householder column whose squared norm is below this (on a stack scaled to
 # max|entry| in [0.5, 1)) is taken as zero rather than reflected.
 _NULL_COLUMN = 1e-200
@@ -313,14 +315,15 @@ def _eigvals_min_stack(stack):
     """Smallest eigenvalue of each matrix of a (B, n, n) symmetric stack.
 
     Each matrix is scaled by a power of two (exactly) to max|entry| in
-    [0.5, 1), reduced to a tridiagonal by Householder reflections, and its
-    smallest eigenvalue bracketed by Sturm-sequence multisection (Golub & Van
-    Loan, Matrix Computations, sections 8.3 and 8.4).  Like _eigh_stack it
-    works on a batch-last (n, n, B) copy.  Every operation is elementwise
-    across the stack and every sum runs in a fixed order, and a bracket stops
-    moving once it has closed, so each result is bitwise the same alone as in
-    any stack.  Raises NumericalError naming the first matrix with a
-    non-finite entry, or if a bracket does not close within the step cap.
+    [0.5, 1), reduced to a tridiagonal by Householder reflections (Golub & Van
+    Loan, Matrix Computations, section 8.3), and its smallest eigenvalue
+    found by Laguerre's iteration inside a Sturm-sequence bracket
+    (_lowest_eigenvalues).  Like _eigh_stack it works on a batch-last
+    (n, n, B) copy.  Every operation is elementwise across the stack and
+    every sum runs in a fixed order, and a bracket stops moving once it has
+    closed, so each result is bitwise the same alone as in any stack.  Raises
+    NumericalError naming the first matrix with a non-finite entry, or if a
+    bracket does not close within the step cap.
     """
     a = _checked_stack(stack)
     _, exponent = np.frexp(np.abs(a).max(axis=(1, 2)))
@@ -370,14 +373,25 @@ def _tridiagonal(a):
 
 def _lowest_eigenvalues(d, e):
     """Smallest eigenvalue of each tridiagonal with diagonal d (n, B) and
-    off-diagonal e (n - 1, B).
+    off-diagonal e (n - 1, B), by Laguerre's iteration on the characteristic
+    polynomial p (Li & Zeng, SIAM J. Sci. Comput. 15, 1994).
 
-    The bracket starts at [Gershgorin lower bound, min d].  Each step splits
-    it into 8 at 7 shifts and keeps the eighth that ends at the first shift
-    with an eigenvalue below it, until the bracket is within
-    2 eps (max|d| + 2 max|e|); the result is its midpoint.  A closed bracket
-    is frozen, so the other matrices of the stack never move it.
+    The bracket [lo, hi] starts at [Gershgorin lower bound, min d] and x at
+    its lower end.  Each step evaluates _laguerre_sums at x: a negative pivot
+    makes x the new hi, none makes it the new lo.  From a lower end the
+    Laguerre point to the right is taken, from an upper end the one to the
+    left; in exact arithmetic either lies between x and the smallest
+    eigenvalue, and it is the current estimate.  The next x is the estimate
+    moved at least tol inside the bracket (the midpoint once the bracket is
+    narrower than 2 tol), so once the estimate has reached the eigenvalue the
+    next step is the probe that closes the bracket.  An estimate that is not
+    finite (x on an eigenvalue of a leading block: a pivot is 0 and the next
+    -inf) is replaced by x, which makes it that probe as well.  The bracket
+    closes at width tol = 2 eps (max|d| + 2 max|e|), and the result is the
+    last estimate, held inside it.  A closed bracket is frozen, so the other
+    matrices of the stack never move it.
     """
+    n = len(d)
     size = np.abs(e)
     radius = np.zeros_like(d)
     radius[:-1] += size
@@ -389,49 +403,65 @@ def _lowest_eigenvalues(d, e):
     )
     # e^2 raised off zero: a zero pivot then gives an infinite one, never 0/0
     e2 = np.maximum(e * e, np.finfo(float).tiny)
-    parts = _BISECT_SHIFTS + 1
-    ends = np.arange(parts + 1) / parts
-    fractions = ends[1:-1, None]
+    x = lo
+    guess = 0.5 * (lo + hi)
     lam = np.empty(d.shape[-1])
     index = np.arange(d.shape[-1])
-    for step in range(_BISECT_MAX_STEPS + 1):
-        width = hi - lo
-        open_ = width > tol
+    for step in range(_LAGUERRE_MAX_STEPS + 1):
+        open_ = hi - lo > tol
         if not open_.all():
-            lam[index[~open_]] = 0.5 * (lo + hi)[~open_]
-            index, lo, hi, width, tol, d, e2 = (
-                x[..., open_] for x in (index, lo, hi, width, tol, d, e2)
+            lam[index[~open_]] = np.minimum(np.maximum(guess, lo), hi)[~open_]
+            index, lo, hi, tol, x, guess, d, e2 = (
+                v[..., open_] for v in (index, lo, hi, tol, x, guess, d, e2)
             )
         if not index.size:
             return lam
-        if step == _BISECT_MAX_STEPS:
+        if step == _LAGUERRE_MAX_STEPS:
             raise NumericalError(
-                f"bisection left matrix {int(index[0])} of a stack of {len(lam)} "
-                f"unresolved after {_BISECT_MAX_STEPS} steps"
+                f"Laguerre iteration left matrix {int(index[0])} of a stack of "
+                f"{len(lam)} unresolved after {_LAGUERRE_MAX_STEPS} steps"
             )
-        below = _sturm_below(d, e2, lo + width * fractions)
-        # count the shifts before the first one with an eigenvalue below it;
-        # the new ends are recomputed by the expression that made those shifts
-        for row in range(1, _BISECT_SHIFTS):
-            below[row] |= below[row - 1]
-        first = _BISECT_SHIFTS - np.count_nonzero(below, axis=0)
-        lo, hi = (
-            lo + width * ends[first],
-            np.where(first == _BISECT_SHIFTS, hi, lo + width * ends[first + 1]),
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            below, g, h = _laguerre_sums(d, e2, x)
+            lo = np.where(below, lo, x)
+            hi = np.where(below, x, hi)
+            root = np.sqrt(np.maximum((n - 1) * (n * h - g * g), 0.0))
+            guess = x - n / np.where(below, g + root, g - root)
+        guess = np.where(np.isfinite(guess), guess, x)
+        x = np.where(
+            hi - lo > 2.0 * tol,
+            np.minimum(np.maximum(guess, lo + tol), hi - tol),
+            0.5 * (lo + hi),
         )
 
 
-def _sturm_below(d, e2, shifts):
-    """Whether the tridiagonal with diagonal d (n, A) and squared off-diagonal
-    e2 (n - 1, A) has an eigenvalue below each of shifts (S, A): whether any
-    pivot of the LDL^T factorization of T - shift I is negative."""
-    q = d[0] - shifts
-    below = q < 0.0
-    with np.errstate(divide="ignore", over="ignore"):
-        for i in range(1, len(d)):
-            q = (d[i] - shifts) - e2[i - 1] / q
-            below |= q < 0.0
-    return below
+def _laguerre_sums(d, e2, x):
+    """Pivots of the LDL^T factorization of T - x I for the tridiagonals with
+    diagonal d (n, A) and squared off-diagonal e2 (n - 1, A), at x (A,).
+
+    Returns whether some pivot q_i is negative (an eigenvalue lies below x)
+    and, with p(x) = det(T - x I) = prod q_i, the sums G = p'/p = sum q_i'/q_i
+    and H = G^2 - p''/p = sum ((q_i'/q_i)^2 - q_i''/q_i).  The derivatives
+    run as the ratios a_i = q_i'/q_i and b_i = q_i''/q_i: with r = e2 / q,
+    q_i' = r a - 1 and q_i'' = r (b - 2 a^2).
+    """
+    q = d[0] - x
+    a = -1.0 / q
+    b = np.zeros_like(q)
+    a2 = a * a
+    g = a
+    h = a2
+    low = q
+    for i in range(1, len(d)):
+        r = e2[i - 1] / q
+        q = (d[i] - x) - r
+        low = np.minimum(low, q)
+        b = r * (b - 2.0 * a2) / q
+        a = (r * a - 1.0) / q
+        a2 = a * a
+        g = g + a
+        h = h + (a2 - b)
+    return low < 0.0, g, h
 
 
 def jacobi_eigen(a: SymMatrix, max_sweeps=_MAX_SWEEPS) -> EigenDecomp:

@@ -28,8 +28,9 @@ the per-instance check_* functions one instance at one weight.  Independent
 references live in the tests.
 
 The pair kernel reads every mean off one weight-independent congruence frame
-per chunk (_diagonalize_pairs): with T = A^(-1/2) B A^(-1/2) = Q diag(t) Q^T
-and W = A^(1/2) Q,
+per chunk (_diagonalize_pairs): with the Cholesky factor A = L L^T,
+C = L^-1 B L^-T = Q diag(t) Q^T and W = L Q, so that A = W W^T and
+B = W diag(t) W^T,
 
   GM         = W diag(t^nu) W^T,
   refined HM = W diag(1 / (t^-nu + r (1 - t^-1/2)^2)) W^T,
@@ -37,15 +38,17 @@ and W = A^(1/2) Q,
 
 The harmonic means therefore invert diagonals, never a matrix of condition up
 to h^2, and run_pair builds the frame and the GM stack once for all four
-checks.  A margin that is not finite, or a t at or below the inversion floor,
-raises NumericalError naming the instance.
+checks.  A pair the frame cannot certify positive definite, a margin that is
+not finite, or a t at or below the inversion floor raises NumericalError
+naming the instance.
 
 Each pair margin is the smallest (or, for the difference reverse, largest)
 eigenvalue of a stack of margin matrices.  _min_eig4 and _max_eig4 take it
-from matrices._eigvals_min_stack (Householder tridiagonalization and Sturm
-bisection, no eigenvectors), which gives each matrix the same bits alone as in
-its chunk.  The frames and the state-vector margins need eigenvectors and use
-the Jacobi solver matrices._eigh_stack.
+from matrices._eigvals_min_stack (Householder tridiagonalization and
+Laguerre's iteration, no eigenvectors), which gives each matrix the same bits
+alone as in its chunk; the frame takes the extreme eigenvalues of A and B
+from the same function.  Only C = L^-1 B L^-T and the state-vector margins
+need eigenvectors, one Jacobi solve (matrices._eigh_stack) per chunk.
 """
 
 from __future__ import annotations
@@ -410,32 +413,65 @@ class _Accumulator:
         )
 
 
-def _diagonalize_pairs(a, b):
+def _diagonalize_pairs(a, b, context):
     """The weight-independent congruence frame of a (P, n, n) pair stack.
 
-    The spectra of A and B come from one eigensolve.  With
-    T = A^(-1/2) B A^(-1/2) = Q diag(t) Q^T from a second one, the frame keeps
-    t and W = A^(1/2) Q: every mean of the pair is W diag(f(t)) W^T for a
-    scalar f, by congruence covariance.
+    The extreme eigenvalues of A and B come from one _eigvals_min_stack call
+    on [A; B; -A; -B].  With the Cholesky factor A = L L^T and
+    C = L^-1 B L^-T = Q diag(t) Q^T from the one eigensolve, the frame keeps
+    t and W = L Q.  Then A = W W^T and B = W diag(t) W^T, so every mean of the
+    pair is W diag(f(t)) W^T for a scalar f, by congruence covariance.
+    A or B not positive definite, or A without a Cholesky factor, raises
+    SingularMatrixError naming the first such instance by context(p).
     """
     p = len(a)
-    lam, q = _eigh_stack(np.concatenate([a, b]))
-    if lam[:, 0].min() <= 0.0:
-        raise SingularMatrixError("pair matrix is not positive definite")
-    lam_a, lam_b, q_a = lam[:p], lam[p:], q[:p]
-    root = np.sqrt(lam_a)
-    shrink = _recon(q_a, 1.0 / root)
-    middle = shrink @ b @ shrink
-    t, q_t = _eigh_stack(0.5 * (middle + middle.transpose(0, 2, 1)))
+    low = _eigvals_min_stack(np.concatenate([a, b, -a, -b])).reshape(4, p)
+    singular = ~(low[:2] > 0.0).all(axis=0)
+    if singular.any():
+        raise SingularMatrixError(
+            f"pair matrix is not positive definite in {context(int(np.argmax(singular)))}"
+        )
+    chol = _cholesky(a, context)
+    c = _solve_lower(chol, _solve_lower(chol, b).transpose(0, 2, 1))
+    t, q = _eigh_stack(0.5 * (c + c.transpose(0, 2, 1)))
     return {
         "a": a,
         "b": b,
-        "lam_a": lam_a,
-        "lam_b": lam_b,
+        "m_hat": np.minimum(low[0], low[1]),
+        "top_a": -low[2],
+        "scale": np.maximum(-low[2], -low[3]),
         "t": np.maximum(t, 0.0),  # roundoff negatives; the harmonic route refuses them
-        "w": _recon(q_a, root) @ q_t,
-        "scale": np.maximum(lam_a[:, -1], lam_b[:, -1]),
+        "w": chol @ q,
     }
+
+
+def _cholesky(a, context):
+    """Lower Cholesky factors L of a (P, n, n) SPD stack, A = L L^T, column by
+    column; a pivot that is not positive raises SingularMatrixError naming
+    the first such instance by context(p)."""
+    chol = np.array(a)
+    for k in range(a.shape[-1]):
+        pivot = chol[:, k, k]
+        bad = ~(pivot > 0.0)
+        if bad.any():
+            raise SingularMatrixError(
+                f"pair matrix A has no Cholesky factor (pivot {pivot[bad][0]:.3e}) "
+                f"in {context(int(np.argmax(bad)))}"
+            )
+        col = chol[:, k:, k] / np.sqrt(pivot)[:, None]
+        chol[:, k:, k] = col
+        chol[:, k + 1:, k + 1:] -= col[:, 1:, None] * col[:, None, 1:]
+    return np.tril(chol)
+
+
+def _solve_lower(chol, rhs):
+    """L^-1 X for lower triangular L (P, n, n) and X (P, n, m), by forward
+    substitution."""
+    x = np.array(rhs)
+    for k in range(x.shape[1]):
+        x[:, k] /= chol[:, k, k, None]
+        x[:, k + 1:] -= chol[:, k + 1:, k, None] * x[:, k, None]
+    return x
 
 
 def _geometric_stacks(frame, nus):
@@ -499,7 +535,7 @@ def _pair_margins(check, frame, means, m, big_m, nus, rel_tol, label):
         root_h = np.sqrt(h)
         log_s = np.log(specht_ratio(root_h))
         c_global = h * np.sqrt(big_m) * log_mean(np.sqrt(big_m), np.sqrt(m)) * log_s
-        c_tight = root_h * log_mean(root_h, 1.0) * log_s * frame["lam_a"][:, -1]
+        c_tight = root_h * log_mean(root_h, 1.0) * log_s * frame["top_a"]
         rhs_max = _max_eig4(am - gm - 2.0 * r4 * bridge[:, None])
         margins = {
             "reverse_difference": c_global[:, None] - rhs_max,
@@ -577,10 +613,16 @@ def _result(check, dim, nu, margins, scale, tols, seed, index):
 def _check_pair(check, pair, nu, rel_tol, seed, index):
     nu = _require_nu(nu)
     nus = np.array([[nu]])
-    frame = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None])
+
+    def label(p):
+        return f"index={index}, dim={pair.n}"
+
+    frame = _diagonalize_pairs(
+        pair.a.entries[None], pair.b.entries[None], lambda p: f"check {check} instance ({label(p)})"
+    )
     margins, tols = _pair_margins(
         check, frame, _geometric_stacks(frame, nus), np.array([pair.m]),
-        np.array([pair.big_m]), nus, rel_tol, lambda p: f"index={index}, dim={pair.n}",
+        np.array([pair.big_m]), nus, rel_tol, label,
     )
     return _result(check, pair.n, nu, margins, frame["scale"][0], tols, seed, index)
 
@@ -642,14 +684,20 @@ def _gen_chunk_pairs(cfg, check, dim, indices):
 
 
 def _eval_pair_chunk(cfg, check, dim, indices):
-    """Generate a chunk of pairs; bounds and h are certified from the computed spectra."""
-    frame = _diagonalize_pairs(*_gen_chunk_pairs(cfg, check, dim, indices))
-    m_hat = np.minimum(frame["lam_a"][:, 0], frame["lam_b"][:, 0])
+    """Generate a chunk of pairs; bounds and h are certified from the extreme
+    eigenvalues of the frame."""
+    def label(p):
+        return f"seed={cfg.seed}, index={indices[p]}, dim={dim}"
+
+    frame = _diagonalize_pairs(
+        *_gen_chunk_pairs(cfg, check, dim, indices),
+        lambda p: f"check {check} instance ({label(p)})",
+    )
+    m_hat = frame["m_hat"]
     big_m_hat = frame["scale"]
     nus = _nu_table(cfg.nu_grid, big_m_hat / m_hat)
     margins, tols = _pair_margins(
-        check, frame, _geometric_stacks(frame, nus), m_hat, big_m_hat, nus, cfg.rel_tol,
-        lambda p: f"seed={cfg.seed}, index={indices[p]}, dim={dim}",
+        check, frame, _geometric_stacks(frame, nus), m_hat, big_m_hat, nus, cfg.rel_tol, label
     )
     return nus, margins, tols
 
@@ -730,14 +778,19 @@ def run_pair(pair: SpdPair, nu_grid=DEFAULT_NU_GRID, rel_tol=DEFAULT_REL_TOL):
     """
     _validate_weights(nu_grid, rel_tol)
     nus = _nu_table(nu_grid, [pair.h])
-    frame = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None])
+
+    def label(p):
+        return f"pair, dim={pair.n}"
+
+    frame = _diagonalize_pairs(
+        pair.a.entries[None], pair.b.entries[None], lambda p: f"pair checks instance ({label(p)})"
+    )
     means = _geometric_stacks(frame, nus)
     aggregates = []
     for check in PAIR_CHECK_NAMES:
         acc = _Accumulator(check)
         margins, tols = _pair_margins(
-            check, frame, means, np.array([pair.m]), np.array([pair.big_m]), nus, rel_tol,
-            lambda p: f"pair, dim={pair.n}",
+            check, frame, means, np.array([pair.m]), np.array([pair.big_m]), nus, rel_tol, label
         )
         acc.update(None, (0,), pair.n, nus, margins, tols)
         aggregates.append(acc.finish())

@@ -471,6 +471,42 @@ def test_min_eig_stack_rejects_non_finite_entry(bad):
 def test_min_eig_stack_step_cap_is_an_error(monkeypatch):
     rng = np.random.default_rng(61)
     stack = np.stack([random_sym(rng, 6).entries for _ in range(5)])
-    monkeypatch.setattr(matrices, "_BISECT_MAX_STEPS", 4)
+    monkeypatch.setattr(matrices, "_LAGUERRE_MAX_STEPS", 4)
     with pytest.raises(NumericalError, match="unresolved after 4 steps"):
         matrices._eigvals_min_stack(stack)
+
+
+@pytest.mark.parametrize("n,multiplicity", [(8, 5), (64, 36), (64, 63)])
+def test_min_eig_stack_multiple_smallest_eigenvalue(n, multiplicity):
+    # Laguerre's iteration converges only linearly to a multiple eigenvalue,
+    # slowest near multiplicity 36 at n = 64; the step cap must allow for it
+    rng = np.random.default_rng([71, n, multiplicity])
+    stack = []
+    for low in (-2.0, 0.0, 1.0):
+        lam = rng.uniform(3.0, 10.0, n)
+        lam[:multiplicity] = low
+        stack.append(_with_spectrum(rng, lam))
+    stack = np.stack(stack)
+    _assert_close_to_lapack(stack, matrices._eigvals_min_stack(stack))
+
+
+# A tridiagonal of the default suite (seed 0, a refined_hm - hm margin at
+# n = 4, after scaling).  Laguerre steps land on the smallest eigenvalue to
+# the last bits, and can land exactly on an eigenvalue of a leading block,
+# where that pivot is 0 and the next one -inf; the bracket must still close.
+TRAP_D = (0.5, 0.10000000000000014, -0.09999999999999998, 0.5000000000000002)
+TRAP_E = (0.2795084971874737, 0.07500000000000001, 1.8596235662471372e-15)
+
+
+def test_lowest_eigenvalue_closes_on_a_leading_block_eigenvalue():
+    t = np.diag(TRAP_D) + np.diag(TRAP_E, 1) + np.diag(TRAP_E, -1)
+    alone = matrices._lowest_eigenvalues(np.array(TRAP_D)[:, None], np.array(TRAP_E)[:, None])
+    _assert_close_to_lapack(t[None], alone)
+    assert np.linalg.eigvalsh(t)[0] == pytest.approx(-0.14528470752104727, abs=1e-16)
+    rng = np.random.default_rng(67)
+    d = rng.normal(size=(4, 9))
+    e = rng.normal(size=(3, 9))
+    d[:, 4] = TRAP_D
+    e[:, 4] = TRAP_E
+    stacked = matrices._lowest_eigenvalues(d, e)
+    assert np.array_equal(stacked[4:5], alone)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -484,14 +485,28 @@ def test_suite_records_errors_and_continues(monkeypatch):
     assert "errors" in doc
 
 
-@pytest.mark.parametrize("h", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize("h", [1e2, 1e4, 1e6, 1e8])
 def test_conditioning_sweep_has_no_false_violations(h):
     # every checked inequality is a theorem, so at the default tolerance a
     # violation could only be roundoff; the harmonic links are read off the
-    # congruence frame instead of inverting matrices of condition up to h^2
-    report = run_suite(SuiteConfig(trials=200, big_m=h))
+    # congruence frame instead of inverting matrices of condition up to h^2.
+    # At h = 1e8 the inversion floor refuses refined_chain (next test), and
+    # the two ratio reverses are swept
+    checks = CHECK_NAMES if h < 1e8 else ("reverse_ratio", "baseline_reverses")
+    report = run_suite(SuiteConfig(trials=200, big_m=h, checks=checks))
     assert not report.errors
-    assert [(c.name, c.violations) for c in report.checks] == [(name, 0) for name in CHECK_NAMES]
+    assert [(c.name, c.violations) for c in report.checks] == [(name, 0) for name in checks]
+
+
+def test_refined_chain_at_h_1e8_is_refused_by_the_inversion_floor():
+    # t spans about h^2 = 1e16, beyond the 1e-12 relative floor on its
+    # smallest entry: every chunk is an error, none reports a violation
+    report = run_suite(SuiteConfig(trials=200, big_m=1e8, checks=("refined_chain",)))
+    agg = report.checks[0]
+    assert (agg.violations, agg.results) == (0, 0)
+    assert len(report.errors) == 4
+    for error in report.errors:
+        assert "below inversion floor in check refined_chain instance" in error["message"]
 
 
 @pytest.mark.parametrize("h", [10.0, 1e3])
@@ -517,6 +532,70 @@ def test_harmonic_route_refuses_unresolved_frame_spectrum():
         check_refined_chain(pair, 0.5, index=4)
     # the checks without a harmonic route stay defined
     assert check_reverse_ratio(pair, 0.5).margins["reverse_ratio"] >= 0.0
+
+
+def test_frame_refuses_pairs_it_cannot_certify_positive_definite():
+    # at h = 1e20 roundoff swamps the smallest eigenvalue m = 1: every pair
+    # chunk is refused by the frame, by name, and the run goes on
+    report = run_suite(SuiteConfig(trials=16, big_m=1e20))
+    assert [c.results for c in report.checks] == [0] * len(CHECK_NAMES)
+    assert len(report.errors) == 4 * len(CHECK_NAMES)
+    for error in report.errors:
+        if error["check"] == "holder_mccarthy":
+            continue
+        pattern = (
+            rf"pair matrix (is not positive definite|A has no Cholesky factor .*) in check "
+            rf"{error['check']} instance \(seed=0, index=\d+, dim={error['dim']}\)"
+        )
+        assert re.fullmatch(pattern, error["message"]), error["message"]
+
+
+def test_cholesky_failure_is_a_chunk_error(monkeypatch):
+    # A of instance 1 is singular, yet its smallest eigenvalue reads as a
+    # tiny positive number: the Cholesky factor meets a zero pivot
+    real = verify._gen_chunk_pairs
+
+    def singular_second_a(cfg, check, dim, indices):
+        a, b = real(cfg, check, dim, indices)
+        a[1] = np.ones((dim, dim))
+        return a, b
+
+    monkeypatch.setattr(verify, "_gen_chunk_pairs", singular_second_a)
+    report = run_suite(
+        SuiteConfig(trials=8, dims=(2,), checks=("reverse_ratio", "holder_mccarthy"))
+    )
+    assert [e["check"] for e in report.errors] == ["reverse_ratio"]
+    assert report.errors[0]["message"] == (
+        "pair matrix A has no Cholesky factor (pivot 0.000e+00) "
+        "in check reverse_ratio instance (seed=0, index=1, dim=2)"
+    )
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["reverse_ratio"].results == 0
+    assert by_name["holder_mccarthy"].results == 8 * 23
+
+
+def test_each_chunk_and_pair_run_makes_one_vector_eigensolve(monkeypatch):
+    # the frame's eigenvectors come from C = L^-1 B L^-T alone; A and B get
+    # only their extreme eigenvalues, which need no Jacobi solve
+    cfg = SuiteConfig(trials=8, dims=(3,)).validate()
+    pair = gen_spd_pair(3, 1.0, 10.0, rng_for(0, "refined_chain", 0))
+    calls = []
+    real = verify._eigh_stack
+
+    def counting(stack, *args, **kwargs):
+        calls.append(len(stack))
+        return real(stack, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_eigh_stack", counting)
+    for check in verify.PAIR_CHECK_NAMES:
+        verify._eval_pair_chunk(cfg, check, 3, list(range(8)))
+    assert calls == [8] * 4
+    calls.clear()
+    verify.run_pair(pair)
+    assert calls == [1]
+    calls.clear()
+    verify._eval_hm_chunk(cfg, 3, list(range(8)))
+    assert calls == [8]
 
 
 def test_non_finite_pair_margin_is_a_numerical_error(monkeypatch):
