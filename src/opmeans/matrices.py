@@ -13,11 +13,13 @@ there a row or a column of every matrix at once is n contiguous rows of length
 B, so each numpy operation is arithmetic on long rows rather than B strided
 gathers of length n.  _eigh_stack rotates that copy by cyclic Jacobi; its
 rotations, their order and their floating-point expressions are those of a
-matrix-by-matrix solve.  _eigvals_min_stack, which serves the Loewner margins
-and the spectral bounds of the verifier, computes no eigenvectors and no other
-eigenvalue: it reduces each matrix to a tridiagonal by Householder reflections
-and finds the smallest eigenvalue by Laguerre's iteration on the pivots of
-the LDL^T factorization, inside a bracket kept by their signs.
+matrix-by-matrix solve.  It serves SymMatrix and the verifier's state-vector
+check; the verifier's pair frame is an SVD (verify._diagonalize_pairs).
+_eigvals_min_stack, which serves the Loewner margins and the spectral bounds
+of the verifier, computes no eigenvectors and no other eigenvalue: it reduces
+each matrix to a tridiagonal by Householder reflections and finds the
+smallest eigenvalue by Laguerre's iteration on the pivots of the LDL^T
+factorization, inside a bracket kept by their signs.
 """
 
 from __future__ import annotations

@@ -28,27 +28,30 @@ the per-instance check_* functions one instance at one weight.  Independent
 references live in the tests.
 
 The pair kernel reads every mean off one weight-independent congruence frame
-per chunk (_diagonalize_pairs): with the Cholesky factor A = L L^T,
-C = L^-1 B L^-T = Q diag(t) Q^T and W = L Q, so that A = W W^T and
-B = W diag(t) W^T,
+per chunk (_diagonalize_pairs): with the Cholesky factors A = L_A L_A^T and
+B = L_B L_B^T and the SVD L_A^-1 L_B = U diag(s) V^T, t = s^2 and W = L_A U,
+so that A = W W^T and B = W diag(t) W^T,
 
   GM         = W diag(t^nu) W^T,
   refined HM = W diag(1 / (t^-nu + r (1 - t^-1/2)^2)) W^T,
   HM         = W diag(1 / ((1 - nu) + nu / t)) W^T.
 
 The harmonic means therefore invert diagonals, never a matrix of condition up
-to h^2, and run_pair builds the frame and the GM stack once for all four
-checks.  A pair the frame cannot certify positive definite, a margin that is
-not finite, or a t at or below the inversion floor raises NumericalError
-naming the instance.
+to h^2, and the frame never forms L_A^-1 B L_A^-T, whose condition is that of
+L_A^-1 L_B squared.  run_pair builds the frame and the GM stack once for all
+four checks.  A pair the frame cannot certify positive definite or factor, an
+SVD that does not converge, a margin that is not finite, or a t at or below
+the inversion floor raises NumericalError naming the check and, but for the
+SVD, the instance.
 
 Each pair margin is the smallest (or, for the difference reverse, largest)
 eigenvalue of a stack of margin matrices.  _min_eig4 and _max_eig4 take it
 from matrices._eigvals_min_stack (Householder tridiagonalization and
 Laguerre's iteration, no eigenvectors), which gives each matrix the same bits
 alone as in its chunk; the frame takes the extreme eigenvalues of A and B
-from the same function.  Only C = L^-1 B L^-T and the state-vector margins
-need eigenvectors, one Jacobi solve (matrices._eigh_stack) per chunk.
+from the same function.  Only the state-vector margins need a Jacobi solve
+(matrices._eigh_stack), one per chunk; the pair frame takes its vectors from
+one LAPACK SVD per chunk.
 """
 
 from __future__ import annotations
@@ -413,49 +416,60 @@ class _Accumulator:
         )
 
 
-def _diagonalize_pairs(a, b, context):
+def _diagonalize_pairs(a, b, where, label):
     """The weight-independent congruence frame of a (P, n, n) pair stack.
 
     The extreme eigenvalues of A and B come from one _eigvals_min_stack call
-    on [A; B; -A; -B].  With the Cholesky factor A = L L^T and
-    C = L^-1 B L^-T = Q diag(t) Q^T from the one eigensolve, the frame keeps
-    t and W = L Q.  Then A = W W^T and B = W diag(t) W^T, so every mean of the
-    pair is W diag(f(t)) W^T for a scalar f, by congruence covariance.
-    A or B not positive definite, or A without a Cholesky factor, raises
-    SingularMatrixError naming the first such instance by context(p).
+    on [A; B; -A; -B].  With the Cholesky factors A = L_A L_A^T and
+    B = L_B L_B^T and the SVD G = L_A^-1 L_B = U diag(s) V^T, the frame keeps
+    t = s^2 (ascending) and W = L_A U.  Then A = W W^T and B = W diag(t) W^T,
+    so every mean of the pair is W diag(f(t)) W^T for a scalar f, by
+    congruence covariance; the means do not depend on the signs of U's
+    columns.  C = G G^T is never formed, so its condition is never squared.
+    A or B not positive definite, or without a Cholesky factor, raises
+    SingularMatrixError naming the first such instance as
+    "<where> instance (<label(p)>)"; an SVD that does not converge raises
+    NumericalError naming where.
     """
     p = len(a)
+
+    def context(k):
+        return f"{where} instance ({label(k)})"
+
     low = _eigvals_min_stack(np.concatenate([a, b, -a, -b])).reshape(4, p)
     singular = ~(low[:2] > 0.0).all(axis=0)
     if singular.any():
         raise SingularMatrixError(
             f"pair matrix is not positive definite in {context(int(np.argmax(singular)))}"
         )
-    chol = _cholesky(a, context)
-    c = _solve_lower(chol, _solve_lower(chol, b).transpose(0, 2, 1))
-    t, q = _eigh_stack(0.5 * (c + c.transpose(0, 2, 1)))
+    chol_a = _cholesky(a, "A", context)
+    chol_b = _cholesky(b, "B", context)
+    try:
+        u, s, _ = np.linalg.svd(_solve_lower(chol_a, chol_b))
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"frame SVD failed ({err}) in {where}") from err
     return {
         "a": a,
         "b": b,
         "m_hat": np.minimum(low[0], low[1]),
         "top_a": -low[2],
         "scale": np.maximum(-low[2], -low[3]),
-        "t": np.maximum(t, 0.0),  # roundoff negatives; the harmonic route refuses them
-        "w": chol @ q,
+        "t": s[:, ::-1] ** 2,
+        "w": chol_a @ u[:, :, ::-1],
     }
 
 
-def _cholesky(a, context):
+def _cholesky(a, name, context):
     """Lower Cholesky factors L of a (P, n, n) SPD stack, A = L L^T, column by
     column; a pivot that is not positive raises SingularMatrixError naming
-    the first such instance by context(p)."""
+    the matrix and the first such instance by context(p)."""
     chol = np.array(a)
     for k in range(a.shape[-1]):
         pivot = chol[:, k, k]
         bad = ~(pivot > 0.0)
         if bad.any():
             raise SingularMatrixError(
-                f"pair matrix A has no Cholesky factor (pivot {pivot[bad][0]:.3e}) "
+                f"pair matrix {name} has no Cholesky factor (pivot {pivot[bad][0]:.3e}) "
                 f"in {context(int(np.argmax(bad)))}"
             )
         col = chol[:, k:, k] / np.sqrt(pivot)[:, None]
@@ -617,9 +631,7 @@ def _check_pair(check, pair, nu, rel_tol, seed, index):
     def label(p):
         return f"index={index}, dim={pair.n}"
 
-    frame = _diagonalize_pairs(
-        pair.a.entries[None], pair.b.entries[None], lambda p: f"check {check} instance ({label(p)})"
-    )
+    frame = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None], f"check {check}", label)
     margins, tols = _pair_margins(
         check, frame, _geometric_stacks(frame, nus), np.array([pair.m]),
         np.array([pair.big_m]), nus, rel_tol, label,
@@ -689,10 +701,7 @@ def _eval_pair_chunk(cfg, check, dim, indices):
     def label(p):
         return f"seed={cfg.seed}, index={indices[p]}, dim={dim}"
 
-    frame = _diagonalize_pairs(
-        *_gen_chunk_pairs(cfg, check, dim, indices),
-        lambda p: f"check {check} instance ({label(p)})",
-    )
+    frame = _diagonalize_pairs(*_gen_chunk_pairs(cfg, check, dim, indices), f"check {check}", label)
     m_hat = frame["m_hat"]
     big_m_hat = frame["scale"]
     nus = _nu_table(cfg.nu_grid, big_m_hat / m_hat)
@@ -782,9 +791,7 @@ def run_pair(pair: SpdPair, nu_grid=DEFAULT_NU_GRID, rel_tol=DEFAULT_REL_TOL):
     def label(p):
         return f"pair, dim={pair.n}"
 
-    frame = _diagonalize_pairs(
-        pair.a.entries[None], pair.b.entries[None], lambda p: f"pair checks instance ({label(p)})"
-    )
+    frame = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None], "pair checks", label)
     means = _geometric_stacks(frame, nus)
     aggregates = []
     for check in PAIR_CHECK_NAMES:

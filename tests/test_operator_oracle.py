@@ -136,6 +136,28 @@ def test_reverse_margins_match_high_precision_oracle(seed, dim, nu):
     assert res.margins["baseline_difference"] == pytest.approx(float(want_diff), abs=1e-11 * res.scale)
 
 
+@pytest.mark.parametrize("h", [1e6, 1e8])
+@pytest.mark.parametrize("seed,dim,nu", [(3, 2, 0.4), (4, 3, 0.7), (6, 4, 0.3)])
+def test_reverse_ratio_matches_high_precision_oracle_at_large_h(seed, dim, nu, h):
+    # the frame decides accuracy here: a frame that squares the condition of
+    # L^-1 B L^-T errs by up to 1.6e-2 of the tolerance at h = 1e8.  The other
+    # reverse margins are not asserted at large h: S(h) GM and the difference
+    # constants reach 1e15, so rounding them alone costs a few tolerances
+    rng = np.random.default_rng(seed)
+    pair = gen_spd_pair(dim, 1.0, h, rng)
+    a = to_mp(pair.a.entries)
+    b = to_mp(pair.b.entries)
+    nu_mp = mp.mpf(nu)
+    r = min(nu_mp, 1 - nu_mp)
+    am = (1 - nu_mp) * a + nu_mp * b
+    gm = mp_geometric(a, b, nu_mp)
+    bridge = (a + b) / 2 - mp_geometric(a, b, mp.mpf(1) / 2)
+    s = mp_specht(mp.sqrt(mp.mpf(pair.big_m) / mp.mpf(pair.m)))
+    res = check_reverse_ratio(pair, nu)
+    want = mp_min_eig(s * gm - (am - 2 * r * bridge))
+    assert res.margins["reverse_ratio"] == pytest.approx(float(want), abs=5e-3 * res.tol)
+
+
 def test_hm_margins_match_high_precision_oracle():
     from opmeans.verify import UnitVector, check_hm_refined
 
