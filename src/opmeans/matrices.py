@@ -1,5 +1,5 @@
-"""Dense real symmetric matrices, a cyclic Jacobi eigensolver, a smallest-
-eigenvalue solver for stacks, and spectral matrix functions.
+"""Dense real symmetric matrices, a cyclic Jacobi eigensolver, smallest
+eigenvalues of stacks, and spectral matrix functions.
 
 The carrier type is :class:`SymMatrix`, which can only be built through
 symmetrizing constructors so its symmetry invariant holds exactly.  All
@@ -8,18 +8,15 @@ extremal eigenvalues, Loewner margins) go through the in-house Jacobi solver;
 the decomposition of a matrix is cached on the instance, which is safe because
 instances are immutable.
 
-Both stack solvers work on a batch-last (n, n, B) copy of a (B, n, n) stack:
-there a row or a column of every matrix at once is n contiguous rows of length
-B, so each numpy operation is arithmetic on long rows rather than B strided
-gathers of length n.  _eigh_stack rotates that copy by cyclic Jacobi; its
-rotations, their order and their floating-point expressions are those of a
-matrix-by-matrix solve.  It serves SymMatrix and the verifier's state-vector
-check; the verifier's pair frame is an SVD (verify._diagonalize_pairs).
-_eigvals_min_stack, which serves the Loewner margins and the spectral bounds
-of the verifier, computes no eigenvectors and no other eigenvalue: it reduces
-each matrix to a tridiagonal by Householder reflections and finds the
-smallest eigenvalue by Laguerre's iteration on the pivots of the LDL^T
-factorization, inside a bracket kept by their signs.
+_eigh_stack rotates a batch-last (n, n, B) copy of a (B, n, n) stack by cyclic
+Jacobi: there a row or a column of every matrix at once is n contiguous rows
+of length B, so each numpy operation is arithmetic on long rows rather than B
+strided gathers of length n, and its rotations, their order and their
+floating-point expressions are those of a matrix-by-matrix solve.  It serves
+SymMatrix and the verifier's state-vector check; the verifier's pair frame is
+an SVD (verify._diagonalize_pairs).  _eigvals_min_stack, which serves the
+Loewner margins and the spectral bounds of the verifier, takes the smallest
+eigenvalues from LAPACK and computes no eigenvectors.
 """
 
 from __future__ import annotations
@@ -56,16 +53,6 @@ MAX_DIM = 64
 # input Frobenius norm; 30 sweeps is far beyond what n <= 64 ever needs.
 _OFF_TOL = 1e-14
 _MAX_SWEEPS = 30
-
-# Smallest eigenvalues by Laguerre's iteration.  It converges cubically to a
-# simple eigenvalue, a few steps from Gershgorin width to roundoff, but only
-# linearly to a multiple one: at n = 64 by as little as a factor 0.78 per
-# step (multiplicity 36), about 150 steps.  A bracket still open after 200
-# steps is an error.
-_LAGUERRE_MAX_STEPS = 200
-# A Householder column whose squared norm is below this (on a stack scaled to
-# max|entry| in [0.5, 1)) is taken as zero rather than reflected.
-_NULL_COLUMN = 1e-200
 
 # Eigenvalues in [-1e-10*||A||, 0) are roundoff negatives on numerically PSD
 # input and are clamped to 0 for sqrt / fractional powers; inversion requires
@@ -314,156 +301,24 @@ def _eigh_stack(stack, need_vectors=True, max_sweeps=_MAX_SWEEPS):
 
 
 def _eigvals_min_stack(stack):
-    """Smallest eigenvalue of each matrix of a (B, n, n) symmetric stack.
+    """Smallest eigenvalue of each matrix of a (B, n, n) symmetric stack, by
+    LAPACK's symmetric eigenvalue routine (numpy.linalg.eigvalsh; Anderson et
+    al., LAPACK Users' Guide).
 
-    Each matrix is scaled by a power of two (exactly) to max|entry| in
-    [0.5, 1), reduced to a tridiagonal by Householder reflections (Golub & Van
-    Loan, Matrix Computations, section 8.3), and its smallest eigenvalue
-    found by Laguerre's iteration inside a Sturm-sequence bracket
-    (_lowest_eigenvalues).  Like _eigh_stack it works on a batch-last
-    (n, n, B) copy.  Every operation is elementwise across the stack and
-    every sum runs in a fixed order, and a bracket stops moving once it has
-    closed, so each result is bitwise the same alone as in any stack.  Raises
-    NumericalError naming the first matrix with a non-finite entry, or if a
-    bracket does not close within the step cap.
+    The routine reads only the lower triangle, so every matrix must be exactly
+    symmetric; the verifier builds each margin stack from symmetric operands
+    by elementwise arithmetic, which keeps it so.  numpy solves the matrices
+    of a stack one at a time, so each result is the same alone as in any
+    stack.  Raises NumericalError naming the first matrix with a non-finite
+    entry, or naming the stack size if LAPACK fails.
     """
     a = _checked_stack(stack)
-    _, exponent = np.frexp(np.abs(a).max(axis=(1, 2)))
-    d, e = _tridiagonal(np.ldexp(a.transpose(1, 2, 0), -exponent, order="C"))
-    return np.ldexp(_lowest_eigenvalues(d, e), exponent)
-
-
-def _sum_rows(x):
-    """x[0] + x[1] + ... in that order, whatever the length of the rows."""
-    total = x[0].copy()
-    for row in x[1:]:
-        total += row
-    return total
-
-
-def _tridiagonal(a):
-    """Householder reduction of a batch-last (n, n, B) stack, overwritten, to
-    the diagonal d (n, B) and off-diagonal e (n - 1, B) of a similar
-    tridiagonal.
-
-    H = I - beta v v^T maps the column x below the diagonal to alpha e_1.  The
-    products with v are sums of rows in index order, never a matmul or a numpy
-    reduction, whose summation order could depend on the size of the stack.
-    """
-    n = len(a)
-    e = np.zeros((n - 1, a.shape[-1]))
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        norm2 = _sum_rows(x * x)
-        norm = np.sqrt(norm2)
-        alpha = np.where(x[0] > 0.0, -norm, norm)
-        v = x.copy()
-        v[0] -= alpha
-        # beta = 2 / v.v = 1 / (|x|^2 + |x| |x_0|)
-        gap = norm2 + norm * np.abs(x[0])
-        beta = np.where(norm2 > _NULL_COLUMN, 1.0 / np.maximum(gap, _NULL_COLUMN), 0.0)
-        sub = a[k + 1:, k + 1:]
-        p = beta * _sum_rows(sub * v[:, None])
-        w = p - (0.5 * beta * _sum_rows(p * v)) * v
-        sub -= v[:, None] * w + w[:, None] * v
-        e[k] = alpha
-    if n > 1:
-        e[-1] = a[-1, -2]
-    diag = np.arange(n)
-    return a[diag, diag], e
-
-
-def _lowest_eigenvalues(d, e):
-    """Smallest eigenvalue of each tridiagonal with diagonal d (n, B) and
-    off-diagonal e (n - 1, B), by Laguerre's iteration on the characteristic
-    polynomial p (Li & Zeng, SIAM J. Sci. Comput. 15, 1994).
-
-    The bracket [lo, hi] starts at [Gershgorin lower bound, min d] and x at
-    its lower end.  Each step evaluates _laguerre_sums at x: a negative pivot
-    makes x the new hi, none makes it the new lo.  From a lower end the
-    Laguerre point to the right is taken, from an upper end the one to the
-    left; in exact arithmetic either lies between x and the smallest
-    eigenvalue, and it is the current estimate.  The next x is the estimate
-    moved at least tol inside the bracket (the midpoint once the bracket is
-    narrower than 2 tol), so once the estimate has reached the eigenvalue the
-    next step is the probe that closes the bracket.  An estimate that is not
-    finite (x on an eigenvalue of a leading block: a pivot is 0 and the next
-    -inf) is replaced by x, which makes it that probe as well.  The bracket
-    closes at width tol = 2 eps (max|d| + 2 max|e|), and the result is the
-    last estimate, held inside it.  A closed bracket is frozen, so the other
-    matrices of the stack never move it.
-    """
-    n = len(d)
-    size = np.abs(e)
-    radius = np.zeros_like(d)
-    radius[:-1] += size
-    radius[1:] += size
-    lo = (d - radius).min(axis=0)
-    hi = d.min(axis=0)
-    tol = 2.0 * np.finfo(float).eps * (
-        np.abs(d).max(axis=0) + 2.0 * size.max(axis=0, initial=0.0)
-    )
-    # e^2 raised off zero: a zero pivot then gives an infinite one, never 0/0
-    e2 = np.maximum(e * e, np.finfo(float).tiny)
-    x = lo
-    guess = 0.5 * (lo + hi)
-    lam = np.empty(d.shape[-1])
-    index = np.arange(d.shape[-1])
-    for step in range(_LAGUERRE_MAX_STEPS + 1):
-        open_ = hi - lo > tol
-        if not open_.all():
-            lam[index[~open_]] = np.minimum(np.maximum(guess, lo), hi)[~open_]
-            index, lo, hi, tol, x, guess, d, e2 = (
-                v[..., open_] for v in (index, lo, hi, tol, x, guess, d, e2)
-            )
-        if not index.size:
-            return lam
-        if step == _LAGUERRE_MAX_STEPS:
-            raise NumericalError(
-                f"Laguerre iteration left matrix {int(index[0])} of a stack of "
-                f"{len(lam)} unresolved after {_LAGUERRE_MAX_STEPS} steps"
-            )
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            below, g, h = _laguerre_sums(d, e2, x)
-            lo = np.where(below, lo, x)
-            hi = np.where(below, x, hi)
-            root = np.sqrt(np.maximum((n - 1) * (n * h - g * g), 0.0))
-            guess = x - n / np.where(below, g + root, g - root)
-        guess = np.where(np.isfinite(guess), guess, x)
-        x = np.where(
-            hi - lo > 2.0 * tol,
-            np.minimum(np.maximum(guess, lo + tol), hi - tol),
-            0.5 * (lo + hi),
-        )
-
-
-def _laguerre_sums(d, e2, x):
-    """Pivots of the LDL^T factorization of T - x I for the tridiagonals with
-    diagonal d (n, A) and squared off-diagonal e2 (n - 1, A), at x (A,).
-
-    Returns whether some pivot q_i is negative (an eigenvalue lies below x)
-    and, with p(x) = det(T - x I) = prod q_i, the sums G = p'/p = sum q_i'/q_i
-    and H = G^2 - p''/p = sum ((q_i'/q_i)^2 - q_i''/q_i).  The derivatives
-    run as the ratios a_i = q_i'/q_i and b_i = q_i''/q_i: with r = e2 / q,
-    q_i' = r a - 1 and q_i'' = r (b - 2 a^2).
-    """
-    q = d[0] - x
-    a = -1.0 / q
-    b = np.zeros_like(q)
-    a2 = a * a
-    g = a
-    h = a2
-    low = q
-    for i in range(1, len(d)):
-        r = e2[i - 1] / q
-        q = (d[i] - x) - r
-        low = np.minimum(low, q)
-        b = r * (b - 2.0 * a2) / q
-        a = (r * a - 1.0) / q
-        a2 = a * a
-        g = g + a
-        h = h + (a2 - b)
-    return low < 0.0, g, h
+    try:
+        return np.linalg.eigvalsh(a)[:, 0]
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(
+            f"smallest eigenvalues failed ({err}) in a stack of {len(a)}"
+        ) from err
 
 
 def jacobi_eigen(a: SymMatrix, max_sweeps=_MAX_SWEEPS) -> EigenDecomp:

@@ -39,19 +39,21 @@ so that A = W W^T and B = W diag(t) W^T,
 The harmonic means therefore invert diagonals, never a matrix of condition up
 to h^2, and the frame never forms L_A^-1 B L_A^-T, whose condition is that of
 L_A^-1 L_B squared.  run_pair builds the frame and the GM stack once for all
-four checks.  A pair the frame cannot certify positive definite or factor, an
-SVD that does not converge, a margin that is not finite, or a t at or below
-the inversion floor raises NumericalError naming the check and, but for the
-SVD, the instance.
+four checks.  A pair the frame cannot certify positive definite or factor, a
+margin that is not finite, or a t at or below the inversion floor raises
+NumericalError naming the check and the instance; an SVD that LAPACK cannot
+complete raises one naming the check, and a margin eigensolve one naming its
+stack size.
 
 Each pair margin is the smallest (or, for the difference reverse, largest)
 eigenvalue of a stack of margin matrices.  _min_eig4 and _max_eig4 take it
-from matrices._eigvals_min_stack (Householder tridiagonalization and
-Laguerre's iteration, no eigenvectors), which gives each matrix the same bits
-alone as in its chunk; the frame takes the extreme eigenvalues of A and B
-from the same function.  Only the state-vector margins need a Jacobi solve
-(matrices._eigh_stack), one per chunk; the pair frame takes its vectors from
-one LAPACK SVD per chunk.
+from matrices._eigvals_min_stack (LAPACK, no eigenvectors), which gives each
+matrix the same bits alone as in its chunk and reads only its lower triangle:
+every margin stack is built from symmetric operands by elementwise
+arithmetic, so it is exactly symmetric.  The frame takes the extreme
+eigenvalues of A and B from the same function.  Only the state-vector margins
+need a Jacobi solve (matrices._eigh_stack), one per chunk; the pair frame
+takes its vectors from one LAPACK SVD per chunk.
 """
 
 from __future__ import annotations
@@ -427,7 +429,7 @@ def _diagonalize_pairs(a, b, where, label):
     congruence covariance; the means do not depend on the signs of U's
     columns.  C = G G^T is never formed, so its condition is never squared.
     A or B not positive definite, or without a Cholesky factor, raises
-    SingularMatrixError naming the first such instance as
+    SingularMatrixError naming the matrix and the first such instance as
     "<where> instance (<label(p)>)"; an SVD that does not converge raises
     NumericalError naming where.
     """
@@ -437,10 +439,12 @@ def _diagonalize_pairs(a, b, where, label):
         return f"{where} instance ({label(k)})"
 
     low = _eigvals_min_stack(np.concatenate([a, b, -a, -b])).reshape(4, p)
-    singular = ~(low[:2] > 0.0).all(axis=0)
+    singular = ~(low[:2] > 0.0)
     if singular.any():
+        k = int(np.argmax(singular.any(axis=0)))
+        name = "A" if singular[0, k] else "B"
         raise SingularMatrixError(
-            f"pair matrix is not positive definite in {context(int(np.argmax(singular)))}"
+            f"pair matrix {name} is not positive definite in {context(k)}"
         )
     chol_a = _cholesky(a, "A", context)
     chol_b = _cholesky(b, "B", context)

@@ -1,9 +1,12 @@
 """Float64 reference of the pair-check margins on numpy.linalg.eigh (LAPACK).
 
-Independent of the library's eigensolver and of ``opmeans.means``: every
-matrix function is formed here from a LAPACK eigendecomposition, one instance
-and one weight at a time, and Specht's ratio and the logarithmic mean are
-written from their definitions.
+Independent of the library's Jacobi solver, of its congruence frame and of
+``opmeans.means``: every matrix function is formed here from a LAPACK
+eigendecomposition, one instance and one weight at a time, and Specht's ratio
+and the logarithmic mean are written from their definitions.  The smallest
+eigenvalue of a margin matrix comes from the same LAPACK routine as in the
+library, so this reference checks how the margins are assembled; the routine
+itself is checked against the Jacobi solver in tests/test_matrices.py.
 """
 
 import math

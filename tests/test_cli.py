@@ -213,6 +213,22 @@ def test_verify_pair_mode_frame_svd_failure_exits_3(monkeypatch, tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_verify_pair_mode_margin_eigensolve_failure_exits_3(monkeypatch, tmp_path, capsys):
+    pair = write_random_pair(tmp_path, 4, 17)
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    assert main(["verify", "--pair", *pair]) == 3
+    err = capsys.readouterr().err
+    assert (
+        "numerical error: smallest eigenvalues failed (Eigenvalues did not converge) "
+        "in a stack of 4" in err
+    )
+    assert "Traceback" not in err
+
+
 def test_verify_non_finite_matrix_entry_exits_3(monkeypatch, capsys):
     # the eigensolver rejects the stack on entry: no sweeps, no warnings
     real = verify._spd_from_draws

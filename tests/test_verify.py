@@ -414,9 +414,9 @@ def test_suite_json_schema(small_report):
 )
 def test_suite_batched_matches_reference_path(check_name, check_fn):
     # the suite aggregate and every per-instance margin against the LAPACK
-    # reference, which shares no eigensolver or means code with the library;
-    # n = 8 and 12 give the margin eigenvalues long Householder reductions
-    # and Sturm sequences
+    # reference, which shares no means code with the library and takes its
+    # eigenvalues without the frame; n = 8 and 12 give the margin stacks
+    # their largest matrices
     cfg = SuiteConfig(trials=8, dims=(2, 4, 8, 12), seed=3, checks=(check_name,))
     report = run_suite(cfg)
     worst = math.inf
@@ -544,16 +544,16 @@ def test_frame_refuses_pairs_it_cannot_certify_positive_definite():
         if error["check"] == "holder_mccarthy":
             continue
         pattern = (
-            rf"pair matrix (is not positive definite|A has no Cholesky factor .*) in check "
+            rf"pair matrix ([AB] is not positive definite|A has no Cholesky factor .*) in check "
             rf"{error['check']} instance \(seed=0, index=\d+, dim={error['dim']}\)"
         )
         assert re.fullmatch(pattern, error["message"]), error["message"]
 
 
 def _singular_second_pair_matrix(monkeypatch, which):
-    # matrix `which` of instance 1 is the singular all-ones matrix, yet its
-    # smallest eigenvalue reads as a tiny positive number: its Cholesky
-    # factor meets a zero pivot
+    # matrix `which` of instance 1 is the singular all-ones matrix: the
+    # positive-definiteness screen refuses it by name before any Cholesky
+    # factor is taken
     real = verify._gen_chunk_pairs
 
     def singular_second(cfg, check, dim, indices):
@@ -576,7 +576,7 @@ def _assert_only_reverse_ratio_refused(report, message):
 def test_cholesky_failure_is_a_chunk_error(monkeypatch):
     _assert_only_reverse_ratio_refused(
         _singular_second_pair_matrix(monkeypatch, "A"),
-        "pair matrix A has no Cholesky factor (pivot 0.000e+00) "
+        "pair matrix A is not positive definite "
         "in check reverse_ratio instance (seed=0, index=1, dim=2)",
     )
 
@@ -584,7 +584,7 @@ def test_cholesky_failure_is_a_chunk_error(monkeypatch):
 def test_cholesky_failure_of_b_is_a_chunk_error(monkeypatch):
     _assert_only_reverse_ratio_refused(
         _singular_second_pair_matrix(monkeypatch, "B"),
-        "pair matrix B has no Cholesky factor (pivot 0.000e+00) "
+        "pair matrix B is not positive definite "
         "in check reverse_ratio instance (seed=0, index=1, dim=2)",
     )
 
@@ -598,6 +598,47 @@ def test_frame_svd_failure_is_a_chunk_error(monkeypatch):
         run_suite(SuiteConfig(trials=8, dims=(2,), checks=("reverse_ratio", "holder_mccarthy"))),
         "frame SVD failed (SVD did not converge) in check reverse_ratio",
     )
+
+
+def test_cholesky_names_the_first_zero_pivot():
+    # the all-ones matrix at instance 1 has the pivots 1, 0, ...; instance 2
+    # fails only at its last pivot, after the factorization has stopped
+    stack = np.stack([np.eye(3), np.ones((3, 3)), np.diag([1.0, 1.0, -1.0])])
+    with pytest.raises(
+        SingularMatrixError,
+        match=r"^pair matrix B has no Cholesky factor \(pivot 0\.000e\+00\) in instance 1$",
+    ):
+        verify._cholesky(stack, "B", lambda p: f"instance {p}")
+
+
+def test_margin_eigensolve_failure_is_a_chunk_error(monkeypatch):
+    # the state-vector check needs no eigvalsh call, so it still runs
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    _assert_only_reverse_ratio_refused(
+        run_suite(SuiteConfig(trials=8, dims=(2,), checks=("reverse_ratio", "holder_mccarthy"))),
+        "smallest eigenvalues failed (Eigenvalues did not converge) in a stack of 32",
+    )
+
+
+def test_margin_stacks_are_exactly_symmetric(monkeypatch):
+    # LAPACK reads only the lower triangle of each margin matrix, so every
+    # stack that reaches it must equal its transpose bit for bit
+    real = verify._eigvals_min_stack
+    sizes = []
+
+    def symmetric_only(stack):
+        assert np.array_equal(stack, stack.transpose(0, 2, 1))
+        sizes.append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(verify, "_eigvals_min_stack", symmetric_only)
+    run_suite(SuiteConfig())
+    run_suite(SuiteConfig(trials=64, dims=(12,), big_m=1e8))
+    verify.run_pair(gen_spd_pair(4, 1.0, 10.0, rng_for(0, "refined_chain", 0)))
+    assert len(sizes) > 200 and max(sizes) >= 64 * 23
 
 
 def test_pair_frames_make_one_svd_and_no_vector_eigensolve(monkeypatch):
