@@ -20,18 +20,13 @@ from .scalar import (
 from .matrices import (
     ConvergenceError,
     EigenDecomp,
-    NotPositiveSemidefiniteError,
     NumericalError,
     SingularMatrixError,
     SymMatrix,
     frobenius_norm,
     jacobi_eigen,
     load_matrix,
-    loewner_margin,
-    matrix_function,
     matrix_inverse,
-    matrix_power,
-    matrix_sqrt,
     operator_norm,
     save_matrix,
     spectral_bounds,

@@ -126,6 +126,17 @@ def _suite_csv_rows(doc):
     return rows
 
 
+def _emit_verify_report(doc, args):
+    if args.format == "json":
+        _emit_json(doc, args.out)
+    else:
+        _emit_csv(
+            _suite_csv_rows(doc),
+            ["name", "worst_margin", "worst_seed", "worst_index", "worst_dim", "worst_nu", "violations"],
+            args.out,
+        )
+
+
 def _verify_pair_mode(args):
     start = time.perf_counter()
     pair = SpdPair.from_matrices(load_matrix(args.pair[0]), load_matrix(args.pair[1]))
@@ -140,14 +151,7 @@ def _verify_pair_mode(args):
         "checks": [c.to_json_dict() for c in aggregates],
         "runtime_seconds": time.perf_counter() - start,
     }
-    if args.format == "json":
-        _emit_json(doc, args.out)
-    else:
-        _emit_csv(
-            _suite_csv_rows(doc),
-            ["name", "worst_margin", "worst_seed", "worst_index", "worst_dim", "worst_nu", "violations"],
-            args.out,
-        )
+    _emit_verify_report(doc, args)
     return EXIT_VIOLATION if any(c.violations for c in aggregates) else EXIT_OK
 
 
@@ -167,14 +171,7 @@ def cmd_verify(args):
     cfg.validate()
     report = run_suite(cfg)
     doc = report.to_json_dict()
-    if args.format == "json":
-        _emit_json(doc, args.out)
-    else:
-        _emit_csv(
-            _suite_csv_rows(doc),
-            ["name", "worst_margin", "worst_seed", "worst_index", "worst_dim", "worst_nu", "violations"],
-            args.out,
-        )
+    _emit_verify_report(doc, args)
     if report.errors:
         for err in report.errors:
             print(f"numerical error in {err['check']}: {err['message']}", file=sys.stderr)

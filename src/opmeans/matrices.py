@@ -1,22 +1,21 @@
-"""Dense real symmetric matrices, a cyclic Jacobi eigensolver, smallest
-eigenvalues of stacks, and spectral matrix functions.
+"""Dense real symmetric matrices, a cyclic Jacobi eigensolver, eigenvalues of
+stacks by LAPACK, and matrix files.
 
 The carrier type is :class:`SymMatrix`, which can only be built through
-symmetrizing constructors so its symmetry invariant holds exactly.  All
-spectral operations on a SymMatrix (fractional powers, square root, inverse,
-extremal eigenvalues, Loewner margins) go through the in-house Jacobi solver;
-the decomposition of a matrix is cached on the instance, which is safe because
-instances are immutable.
+symmetrizing constructors so its symmetry invariant holds exactly.  Its
+eigendecomposition (jacobi_eigen, behind spectral_bounds, operator_norm and
+matrix_inverse) is cached on the instance, which is safe because instances
+are immutable.  The operator means are not spectral functions of one
+matrix; means.py reads them off a congruence frame of the pair.
 
 _eigh_stack rotates a batch-last (n, n, B) copy of a (B, n, n) stack by cyclic
 Jacobi: there a row or a column of every matrix at once is n contiguous rows
 of length B, so each numpy operation is arithmetic on long rows rather than B
 strided gathers of length n, and its rotations, their order and their
 floating-point expressions are those of a matrix-by-matrix solve.  It serves
-SymMatrix and the verifier's state-vector check; the verifier's pair frame is
-an SVD (verify._diagonalize_pairs).  _eigvals_min_stack, which serves the
-Loewner margins and the spectral bounds of the verifier, takes the smallest
-eigenvalues from LAPACK and computes no eigenvectors.
+SymMatrix and the verifier's state-vector check.  _eigvals_stack serves the
+Loewner margins, the spectral bounds of a pair and the frame's positivity
+screen from LAPACK, without eigenvectors.
 """
 
 from __future__ import annotations
@@ -29,16 +28,11 @@ import numpy as np
 __all__ = [
     "NumericalError",
     "ConvergenceError",
-    "NotPositiveSemidefiniteError",
     "SingularMatrixError",
     "SymMatrix",
     "EigenDecomp",
     "jacobi_eigen",
-    "matrix_function",
-    "matrix_power",
-    "matrix_sqrt",
     "matrix_inverse",
-    "loewner_margin",
     "spectral_bounds",
     "operator_norm",
     "frobenius_norm",
@@ -54,10 +48,7 @@ MAX_DIM = 64
 _OFF_TOL = 1e-14
 _MAX_SWEEPS = 30
 
-# Eigenvalues in [-1e-10*||A||, 0) are roundoff negatives on numerically PSD
-# input and are clamped to 0 for sqrt / fractional powers; inversion requires
-# eigenvalues above 1e-12*||A||.
-_PSD_CLAMP_REL = 1e-10
+# Inversion requires eigenvalues above 1e-12*||A||.
 _INV_FLOOR_REL = 1e-12
 
 _FILE_SYMMETRY_TOL = 1e-12
@@ -73,10 +64,6 @@ class ConvergenceError(NumericalError):
     def __init__(self, message, residual):
         super().__init__(f"{message} (off-diagonal residual {residual:.3e})")
         self.residual = residual
-
-
-class NotPositiveSemidefiniteError(NumericalError):
-    """Fractional power or square root requested on an indefinite matrix."""
 
 
 class SingularMatrixError(NumericalError):
@@ -176,13 +163,6 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix(n={self.n})"
-
-
-def sandwich(outer, inner):
-    """Symmetrized congruence product outer @ inner @ outer of SymMatrix operands."""
-    outer._check_same_dim(inner)
-    prod = outer.entries @ inner.entries @ outer.entries
-    return SymMatrix._wrap(0.5 * (prod + prod.T))
 
 
 @dataclass(frozen=True)
@@ -300,25 +280,24 @@ def _eigh_stack(stack, need_vectors=True, max_sweeps=_MAX_SWEEPS):
     return lam, v
 
 
-def _eigvals_min_stack(stack):
-    """Smallest eigenvalue of each matrix of a (B, n, n) symmetric stack, by
-    LAPACK's symmetric eigenvalue routine (numpy.linalg.eigvalsh; Anderson et
-    al., LAPACK Users' Guide).
-
-    The routine reads only the lower triangle, so every matrix must be exactly
-    symmetric; the verifier builds each margin stack from symmetric operands
-    by elementwise arithmetic, which keeps it so.  numpy solves the matrices
-    of a stack one at a time, so each result is the same alone as in any
-    stack.  Raises NumericalError naming the first matrix with a non-finite
-    entry, or naming the stack size if LAPACK fails.
+def _eigvals_stack(stack):
+    """Ascending eigenvalues (B, n) of a (B, n, n) stack by LAPACK
+    (numpy.linalg.eigvalsh), without eigenvectors.  LAPACK reads only the lower
+    triangle, so every matrix must be exactly symmetric; it solves the matrices
+    one at a time, so each result is the same alone as in any stack.  Raises
+    NumericalError naming the first matrix with a non-finite entry, or naming
+    the stack size if LAPACK fails.
     """
     a = _checked_stack(stack)
     try:
-        return np.linalg.eigvalsh(a)[:, 0]
+        return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as err:
-        raise NumericalError(
-            f"smallest eigenvalues failed ({err}) in a stack of {len(a)}"
-        ) from err
+        raise NumericalError(f"eigenvalues failed ({err}) in a stack of {len(a)}") from err
+
+
+def _eigvals_min_stack(stack):
+    """Smallest eigenvalue of each matrix of a (B, n, n) symmetric stack."""
+    return _eigvals_stack(stack)[:, 0]
 
 
 def jacobi_eigen(a: SymMatrix, max_sweeps=_MAX_SWEEPS) -> EigenDecomp:
@@ -341,71 +320,14 @@ def jacobi_eigen(a: SymMatrix, max_sweeps=_MAX_SWEEPS) -> EigenDecomp:
     return decomp
 
 
-def _is_integer(p):
-    return float(p).is_integer()
-
-
-def _apply_spectral(lam, fn_tag, norm):
-    """Map eigenvalues through the tagged scalar function, enforcing domains."""
-    if fn_tag == "sqrt":
-        fn_tag = ("power", 0.5)
-    if fn_tag == "inverse":
-        fn_tag = ("power", -1.0)
-    kind, p = fn_tag
-    if kind != "power":
-        raise ValueError(f"unknown matrix function tag {fn_tag!r}")
-    p = float(p)
-    lam = lam.copy()
-    if p < 0.0:
-        floor = _INV_FLOOR_REL * norm
-        if lam.min() < floor or lam.min() <= 0.0:
-            raise SingularMatrixError(
-                f"eigenvalue {lam.min():.3e} below inversion floor {floor:.3e}"
-            )
-    elif not _is_integer(p):
-        clamp = _PSD_CLAMP_REL * norm
-        if lam.min() < -clamp:
-            raise NotPositiveSemidefiniteError(
-                f"eigenvalue {lam.min():.3e} below -{clamp:.3e}; "
-                "matrix is not positive semidefinite"
-            )
-        lam[lam < 0.0] = 0.0
-    with np.errstate(divide="raise"):
-        return np.power(lam, p)
-
-
-def matrix_function(a: SymMatrix, fn) -> SymMatrix:
-    """Spectral function q * fn(lam) * q^T of a symmetric matrix.
-
-    ``fn`` is ``"sqrt"``, ``"inverse"``, or ``("power", p)``.  Tiny negative
-    eigenvalues (roundoff on PSD input) are clamped to zero for non-integer
-    powers; inversion refuses eigenvalues below a floor relative to the
-    operator norm.
-    """
-    decomp = jacobi_eigen(a)
-    norm = float(np.abs(decomp.lam).max())
-    flam = _apply_spectral(decomp.lam, fn, norm)
-    out = (decomp.q * flam) @ decomp.q.T
-    return SymMatrix._wrap(0.5 * (out + out.T))
-
-
-def matrix_power(a: SymMatrix, p) -> SymMatrix:
-    return matrix_function(a, ("power", p))
-
-
-def matrix_sqrt(a: SymMatrix) -> SymMatrix:
-    return matrix_function(a, "sqrt")
-
-
 def matrix_inverse(a: SymMatrix) -> SymMatrix:
-    return matrix_function(a, "inverse")
-
-
-def loewner_margin(a: SymMatrix, b: SymMatrix) -> float:
-    """Smallest eigenvalue of a - b; nonnegative exactly when a >= b in Loewner order."""
-    a._check_same_dim(b)
-    diff = a - b
-    return float(jacobi_eigen(diff).lam[0])
+    """q diag(1/lam) q^T; refuses a smallest eigenvalue below 1e-12 ||A|| or not positive."""
+    decomp = jacobi_eigen(a)
+    low = float(decomp.lam[0])
+    floor = _INV_FLOOR_REL * float(np.abs(decomp.lam).max())
+    if low < floor or low <= 0.0:
+        raise SingularMatrixError(f"eigenvalue {low:.3e} below inversion floor {floor:.3e}")
+    return SymMatrix._wrap((decomp.q / decomp.lam) @ decomp.q.T)
 
 
 def spectral_bounds(a: SymMatrix):
@@ -444,10 +366,16 @@ def load_matrix(path) -> SymMatrix:
     if "n" not in doc or "entries" not in doc:
         raise ValueError("matrix file must contain fields 'n' and 'entries'")
     n = doc["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:  # not bool, an int subclass
         raise ValueError(f"field 'n' must be an integer, got {n!r}")
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ValueError(f"field 'entries' must hold exactly n*n = {n * n} numbers")
-    arr = np.asarray(entries, dtype=float).reshape(n, n)
+    # numpy would read true as 1 and "2" as 2
+    if not all(type(x) in (int, float) for x in entries):
+        raise ValueError("field 'entries' must hold numbers, not strings, booleans or null")
+    try:
+        arr = np.asarray(entries, dtype=float).reshape(n, n)
+    except OverflowError as err:
+        raise ValueError(f"field 'entries' holds a number beyond float range ({err})") from err
     return SymMatrix.from_array(arr, tol=_FILE_SYMMETRY_TOL)

@@ -1,8 +1,14 @@
 """Two-operator weighted means and related identities on SPD matrices.
 
-The geometric mean is computed by its defining congruence formula
-a^(1/2) (a^(-1/2) b a^(-1/2))^nu a^(1/2); the arithmetic-harmonic iteration
-that could compute the nu = 1/2 case lives in the test suite as an
+Every mean of a pair is read off one congruence frame (Bhatia, Positive
+Definite Matrices, ch. 4): A = W W^T and B = W diag(t) W^T, so that
+
+  A #_nu B = W diag(t^nu) W^T,   A !_nu B = W diag(1 / ((1 - nu) + nu / t)) W^T.
+
+The frame code works on a (P, n, n) pair stack and a (P, J) weight table.
+The verifier builds one frame per chunk of instances; the public means are
+its P = J = 1 views, so each formula exists once.  The arithmetic-harmonic
+iteration that could compute the nu = 1/2 case lives in the test suite as an
 independent oracle, not here.
 """
 
@@ -13,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrices import (
+    NumericalError,
+    SingularMatrixError,
     SymMatrix,
+    _INV_FLOOR_REL,
+    _eigvals_stack,
     frobenius_norm,
     matrix_inverse,
-    matrix_power,
-    matrix_sqrt,
-    sandwich,
     spectral_bounds,
 )
 
@@ -60,10 +67,9 @@ class SpdPair:
     @classmethod
     def from_matrices(cls, a: SymMatrix, b: SymMatrix, m=None, big_m=None) -> "SpdPair":
         a._check_same_dim(b)
-        lo_a, hi_a = spectral_bounds(a)
-        lo_b, hi_b = spectral_bounds(b)
-        lo = min(lo_a, lo_b)
-        hi = max(hi_a, hi_b)
+        lam = _eigvals_stack(np.stack([a.entries, b.entries]))
+        lo = float(lam[:, 0].min())
+        hi = float(lam[:, -1].max())
         if lo <= 0.0:
             raise ValueError(f"matrices must be positive definite (smallest eigenvalue {lo:.3e})")
         slack = _BOUND_SLACK_REL * max(hi, 1.0)
@@ -89,28 +95,160 @@ class SpdPair:
         return self.big_m / self.m
 
 
+def _recon(q, lam):
+    """q diag(lam) q^T over a stack: q (..., n, n), lam (..., n); the leading
+    axes broadcast, so one q can carry a whole row of weights."""
+    return (q * lam[..., None, :]) @ np.swapaxes(q, -1, -2)
+
+
+def _sym4(stack):
+    return 0.5 * (stack + stack.transpose(0, 1, 3, 2))
+
+
+def _inverse4(diag, context):
+    """Batched SPD inverse in the congruence frame: 1/d for a (P, J, n) stack of
+    diagonal factors, refused at or below the relative floor of matrix_inverse.
+    context(p, j) names the failing entry."""
+    low = diag.min(axis=-1)
+    bad = ~(low > _INV_FLOOR_REL * np.abs(diag).max(axis=-1))
+    if bad.any():
+        p, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise SingularMatrixError(
+            f"eigenvalue {low[p, j]:.3e} below inversion floor in {context(p, j)}"
+        )
+    return 1.0 / diag
+
+
+def _diagonalize_pairs(a, b, where, label):
+    """The weight-independent congruence frame of a (P, n, n) pair stack.
+
+    The extreme eigenvalues of A and B come from one _eigvals_stack call on
+    [A; B].  With the Cholesky factors A = L_A L_A^T and B = L_B L_B^T and the
+    SVD G = L_A^-1 L_B = U diag(s) V^T, the frame keeps t = s^2 (ascending)
+    and W = L_A U; the means do not depend on the signs of U's columns.
+    C = G G^T is never formed, so its condition is never squared, and the
+    harmonic means invert diagonals, never a matrix.  A or B not positive
+    definite, or without a Cholesky factor, raises SingularMatrixError naming
+    the matrix and the first such instance as "<where> instance (<label(p)>)";
+    an SVD that does not converge raises NumericalError naming where.
+    """
+    p = len(a)
+
+    def context(k):
+        return f"{where} instance ({label(k)})"
+
+    lam = _eigvals_stack(np.concatenate([a, b]))
+    low = lam[:, 0].reshape(2, p)
+    top = lam[:, -1].reshape(2, p)
+    singular = ~(low > 0.0)
+    if singular.any():
+        k = int(np.argmax(singular.any(axis=0)))
+        name = "A" if singular[0, k] else "B"
+        raise SingularMatrixError(
+            f"pair matrix {name} is not positive definite in {context(k)}"
+        )
+    chol_a = _cholesky(a, "A", context)
+    chol_b = _cholesky(b, "B", context)
+    try:
+        u, s, _ = np.linalg.svd(_solve_lower(chol_a, chol_b))
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"frame SVD failed ({err}) in {where}") from err
+    return {
+        "a": a,
+        "b": b,
+        "m_hat": np.minimum(low[0], low[1]),
+        "top_a": top[0],
+        "scale": np.maximum(top[0], top[1]),
+        "t": s[:, ::-1] ** 2,
+        "w": chol_a @ u[:, :, ::-1],
+    }
+
+
+def _cholesky(a, name, context):
+    """Lower Cholesky factors L of a (P, n, n) SPD stack, A = L L^T, column by
+    column; a pivot that is not positive raises SingularMatrixError naming
+    the matrix and the first such instance by context(p)."""
+    chol = np.array(a)
+    for k in range(a.shape[-1]):
+        pivot = chol[:, k, k]
+        bad = ~(pivot > 0.0)
+        if bad.any():
+            raise SingularMatrixError(
+                f"pair matrix {name} has no Cholesky factor (pivot {pivot[bad][0]:.3e}) "
+                f"in {context(int(np.argmax(bad)))}"
+            )
+        col = chol[:, k:, k] / np.sqrt(pivot)[:, None]
+        chol[:, k:, k] = col
+        chol[:, k + 1:, k + 1:] -= col[:, 1:, None] * col[:, None, 1:]
+    return np.tril(chol)
+
+
+def _solve_lower(chol, rhs):
+    """L^-1 X for lower triangular L (P, n, n) and X (P, n, m), by forward
+    substitution."""
+    x = np.array(rhs)
+    for k in range(x.shape[1]):
+        x[:, k] /= chol[:, k, k, None]
+        x[:, k + 1:] -= chol[:, k + 1:, k, None] * x[:, k, None]
+    return x
+
+
+def _pair_frame(pair, where, label=None):
+    """The frame of one SpdPair, as a stack of one; label defaults to its dimension."""
+    label = label or (lambda p: f"dim={pair.n}")
+    return _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None], where, label)
+
+
+def _arithmetic_stack(a, b, nus):
+    """AM stack (P, J, n, n): (1 - nu) A + nu B for a (P, n, n) pair stack."""
+    w = nus[:, :, None, None]
+    return (1.0 - w) * a[:, None] + w * b[:, None]
+
+
+def _geometric_stacks(frame, nus):
+    """GM stack (P, J, n, n) over the (P, J) weight table plus the midpoint GM
+    (P, n, n), read off the frame of _diagonalize_pairs: A #_nu B = W diag(t^nu) W^T."""
+    nus_ext = np.concatenate([nus, np.full((len(nus), 1), 0.5)], axis=1)
+    powers = np.power(frame["t"][:, None, :], nus_ext[:, :, None])
+    gm_ext = _sym4(_recon(frame["w"][:, None], powers))
+    return gm_ext[:, :-1], gm_ext[:, -1]
+
+
+def _harmonic_stack(frame, inv_t, nus, context):
+    """HM stack (P, J, n, n) over the (P, J) weight table, given inv_t = 1/t
+    (P, 1, n): A !_nu B = W diag(1 / ((1 - nu) + nu / t)) W^T.  The diagonal
+    is inverted by _inverse4, whose context(p, j) names a refused entry."""
+    nu3 = nus[:, :, None]
+    return _sym4(_recon(frame["w"][:, None], _inverse4((1.0 - nu3) + nu3 * inv_t, context)))
+
+
+def _bridge(frame, gm_half):
+    """Midpoint arithmetic-geometric gap (A+B)/2 - A #_(1/2) B, (P, n, n)."""
+    return 0.5 * (frame["a"] + frame["b"]) - gm_half
+
+
 def weighted_arithmetic(pair: SpdPair, nu) -> SymMatrix:
     """(1-nu) A + nu B."""
-    nu = _require_nu(nu)
-    return SymMatrix._wrap((1.0 - nu) * pair.a.entries + nu * pair.b.entries)
+    nus = np.array([[_require_nu(nu)]])
+    return SymMatrix._wrap(_arithmetic_stack(pair.a.entries[None], pair.b.entries[None], nus)[0, 0])
 
 
 def weighted_geometric(pair: SpdPair, nu) -> SymMatrix:
-    """Weighted geometric mean a^(1/2) (a^(-1/2) b a^(-1/2))^nu a^(1/2)."""
-    nu = _require_nu(nu)
-    root = matrix_sqrt(pair.a)
-    inv_root = matrix_power(pair.a, -0.5)
-    middle = sandwich(inv_root, pair.b)
-    return sandwich(root, matrix_power(middle, nu))
+    """Weighted geometric mean A #_nu B = W diag(t^nu) W^T in the pair's frame."""
+    nus = np.array([[_require_nu(nu)]])
+    gm, _ = _geometric_stacks(_pair_frame(pair, "weighted_geometric"), nus)
+    return SymMatrix._wrap(gm[0, 0])
 
 
 def weighted_harmonic(pair: SpdPair, nu) -> SymMatrix:
-    """((1-nu) A^(-1) + nu B^(-1))^(-1)."""
-    nu = _require_nu(nu)
-    inv_a = matrix_inverse(pair.a)
-    inv_b = matrix_inverse(pair.b)
-    mix = SymMatrix._wrap((1.0 - nu) * inv_a.entries + nu * inv_b.entries)
-    return matrix_inverse(mix)
+    """((1-nu) A^(-1) + nu B^(-1))^(-1); the frame certifies t > 0, so only the
+    diagonal (1 - nu) + nu / t meets the inversion floor of _inverse4."""
+    nus = np.array([[_require_nu(nu)]])
+    frame = _pair_frame(pair, "weighted_harmonic")
+    hm = _harmonic_stack(
+        frame, 1.0 / frame["t"][:, None], nus, lambda p, j: f"weighted_harmonic (nu={nus[p, j]})"
+    )
+    return SymMatrix._wrap(hm[0, 0])
 
 
 def refinement_bridge(pair: SpdPair) -> SymMatrix:
@@ -119,8 +257,9 @@ def refinement_bridge(pair: SpdPair) -> SymMatrix:
     Positive semidefinite; zero exactly when A = B.  Scaled by 2*min(nu, 1-nu)
     it is the refinement term of the mean-ordering chain.
     """
-    mid = weighted_geometric(pair, 0.5)
-    return SymMatrix._wrap(0.5 * (pair.a.entries + pair.b.entries) - mid.entries)
+    frame = _pair_frame(pair, "refinement_bridge")
+    _, gm_half = _geometric_stacks(frame, np.array([[0.5]]))
+    return SymMatrix._wrap(_bridge(frame, gm_half)[0])
 
 
 def resolvent_identity_residual(x: SymMatrix, y: SymMatrix) -> float:
@@ -130,13 +269,12 @@ def resolvent_identity_residual(x: SymMatrix, y: SymMatrix) -> float:
     floating-point defect of the two evaluation routes.
     """
     x._check_same_dim(y)
-    lo_x, _ = spectral_bounds(x)
-    lo_y, _ = spectral_bounds(y)
-    if min(lo_x, lo_y) <= 0.0:
+    if min(spectral_bounds(x)[0], spectral_bounds(y)[0]) <= 0.0:
         raise ValueError("both operands must be positive definite")
     lhs = matrix_inverse(x + y)
     inv_x = matrix_inverse(x)
     inner = matrix_inverse(inv_x + matrix_inverse(y))
-    rhs = inv_x - sandwich(inv_x, inner)
-    defect = np.linalg.norm(lhs.entries - rhs.entries)
+    prod = inv_x.entries @ inner.entries @ inv_x.entries
+    rhs = inv_x.entries - 0.5 * (prod + prod.T)
+    defect = np.linalg.norm(lhs.entries - rhs)
     return float(defect / max(frobenius_norm(lhs), 1e-300))

@@ -27,33 +27,21 @@ chunks, run_pair one user-supplied pair over its whole augmented grid, and
 the per-instance check_* functions one instance at one weight.  Independent
 references live in the tests.
 
-The pair kernel reads every mean off one weight-independent congruence frame
-per chunk (_diagonalize_pairs): with the Cholesky factors A = L_A L_A^T and
-B = L_B L_B^T and the SVD L_A^-1 L_B = U diag(s) V^T, t = s^2 and W = L_A U,
-so that A = W W^T and B = W diag(t) W^T,
-
-  GM         = W diag(t^nu) W^T,
-  refined HM = W diag(1 / (t^-nu + r (1 - t^-1/2)^2)) W^T,
-  HM         = W diag(1 / ((1 - nu) + nu / t)) W^T.
-
-The harmonic means therefore invert diagonals, never a matrix of condition up
-to h^2, and the frame never forms L_A^-1 B L_A^-T, whose condition is that of
-L_A^-1 L_B squared.  run_pair builds the frame and the GM stack once for all
-four checks.  A pair the frame cannot certify positive definite or factor, a
-margin that is not finite, or a t at or below the inversion floor raises
-NumericalError naming the check and the instance; an SVD that LAPACK cannot
-complete raises one naming the check, and a margin eigensolve one naming its
-stack size.
+The pair kernel reads its means off the congruence frame of means.py, one
+per chunk, through the stack functions that the public means view at one
+pair and one weight; only the refined harmonic route
+W diag(1 / (t^-nu + r (1 - t^-1/2)^2)) W^T is the verifier's own.  A pair the
+frame cannot certify positive definite or factor, a margin that is not
+finite, or a t at or below the inversion floor raises NumericalError naming
+the check and the instance; a failed SVD names the check, a failed margin
+eigensolve its stack size.
 
 Each pair margin is the smallest (or, for the difference reverse, largest)
-eigenvalue of a stack of margin matrices.  _min_eig4 and _max_eig4 take it
-from matrices._eigvals_min_stack (LAPACK, no eigenvectors), which gives each
-matrix the same bits alone as in its chunk and reads only its lower triangle:
-every margin stack is built from symmetric operands by elementwise
-arithmetic, so it is exactly symmetric.  The frame takes the extreme
-eigenvalues of A and B from the same function.  Only the state-vector margins
-need a Jacobi solve (matrices._eigh_stack), one per chunk; the pair frame
-takes its vectors from one LAPACK SVD per chunk.
+eigenvalue of a stack of margin matrices, from matrices._eigvals_stack
+(LAPACK, no eigenvectors), which reads only the lower triangle: every margin
+stack is built from symmetric operands by elementwise arithmetic, so it is
+exactly symmetric.  Only the state-vector margins need a Jacobi solve
+(matrices._eigh_stack), one per chunk.
 """
 
 from __future__ import annotations
@@ -71,11 +59,23 @@ from .matrices import (
     SymMatrix,
     _eigh_stack,
     _eigvals_min_stack,
-    _INV_FLOOR_REL,
+    _eigvals_stack,
     MIN_DIM,
     MAX_DIM,
 )
-from .means import SpdPair, _require_nu
+from .means import (
+    SpdPair,
+    _arithmetic_stack,
+    _bridge,
+    _diagonalize_pairs,
+    _geometric_stacks,
+    _harmonic_stack,
+    _inverse4,
+    _pair_frame,
+    _recon,
+    _require_nu,
+    _sym4,
+)
 from .scalar import critical_nu_diff, critical_nu_ratio, log_mean, specht_ratio
 
 __all__ = [
@@ -332,42 +332,14 @@ def _nu_table(base, h):
 # Batched margin kernels
 # ---------------------------------------------------------------------------
 
-def _recon(q, lam):
-    """q diag(lam) q^T over a stack: q (..., n, n), lam (..., n); the leading
-    axes broadcast, so one q can carry a whole row of weights."""
-    return (q * lam[..., None, :]) @ np.swapaxes(q, -1, -2)
-
-
-def _recon_powers(q, lam, nus):
-    """q diag(lam^nu) q^T for a (P,) stack against a (P, J) table of exponents."""
-    return _recon(q[:, None], np.power(lam[:, None, :], nus[:, :, None]))
-
-
-def _sym4(stack):
-    return 0.5 * (stack + stack.transpose(0, 1, 3, 2))
-
-
 def _min_eig4(stack):
     p, j, n, _ = stack.shape
     return _eigvals_min_stack(stack.reshape(p * j, n, n)).reshape(p, j)
 
 
 def _max_eig4(stack):
-    return -_min_eig4(-stack)
-
-
-def _inverse4(diag, context):
-    """Batched SPD inverse in the congruence frame: 1/d for a (P, J, n) stack of
-    diagonal factors, refused at or below the relative floor of matrix_inverse.
-    context(p, j) names the failing entry."""
-    low = diag.min(axis=-1)
-    bad = ~(low > _INV_FLOOR_REL * np.abs(diag).max(axis=-1))
-    if bad.any():
-        p, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise SingularMatrixError(
-            f"eigenvalue {low[p, j]:.3e} below inversion floor in {context(p, j)}"
-        )
-    return 1.0 / diag
+    p, j, n, _ = stack.shape
+    return _eigvals_stack(stack.reshape(p * j, n, n))[:, -1].reshape(p, j)
 
 
 def _require_finite(check, margins, nus, label):
@@ -418,91 +390,6 @@ class _Accumulator:
         )
 
 
-def _diagonalize_pairs(a, b, where, label):
-    """The weight-independent congruence frame of a (P, n, n) pair stack.
-
-    The extreme eigenvalues of A and B come from one _eigvals_min_stack call
-    on [A; B; -A; -B].  With the Cholesky factors A = L_A L_A^T and
-    B = L_B L_B^T and the SVD G = L_A^-1 L_B = U diag(s) V^T, the frame keeps
-    t = s^2 (ascending) and W = L_A U.  Then A = W W^T and B = W diag(t) W^T,
-    so every mean of the pair is W diag(f(t)) W^T for a scalar f, by
-    congruence covariance; the means do not depend on the signs of U's
-    columns.  C = G G^T is never formed, so its condition is never squared.
-    A or B not positive definite, or without a Cholesky factor, raises
-    SingularMatrixError naming the matrix and the first such instance as
-    "<where> instance (<label(p)>)"; an SVD that does not converge raises
-    NumericalError naming where.
-    """
-    p = len(a)
-
-    def context(k):
-        return f"{where} instance ({label(k)})"
-
-    low = _eigvals_min_stack(np.concatenate([a, b, -a, -b])).reshape(4, p)
-    singular = ~(low[:2] > 0.0)
-    if singular.any():
-        k = int(np.argmax(singular.any(axis=0)))
-        name = "A" if singular[0, k] else "B"
-        raise SingularMatrixError(
-            f"pair matrix {name} is not positive definite in {context(k)}"
-        )
-    chol_a = _cholesky(a, "A", context)
-    chol_b = _cholesky(b, "B", context)
-    try:
-        u, s, _ = np.linalg.svd(_solve_lower(chol_a, chol_b))
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"frame SVD failed ({err}) in {where}") from err
-    return {
-        "a": a,
-        "b": b,
-        "m_hat": np.minimum(low[0], low[1]),
-        "top_a": -low[2],
-        "scale": np.maximum(-low[2], -low[3]),
-        "t": s[:, ::-1] ** 2,
-        "w": chol_a @ u[:, :, ::-1],
-    }
-
-
-def _cholesky(a, name, context):
-    """Lower Cholesky factors L of a (P, n, n) SPD stack, A = L L^T, column by
-    column; a pivot that is not positive raises SingularMatrixError naming
-    the matrix and the first such instance by context(p)."""
-    chol = np.array(a)
-    for k in range(a.shape[-1]):
-        pivot = chol[:, k, k]
-        bad = ~(pivot > 0.0)
-        if bad.any():
-            raise SingularMatrixError(
-                f"pair matrix {name} has no Cholesky factor (pivot {pivot[bad][0]:.3e}) "
-                f"in {context(int(np.argmax(bad)))}"
-            )
-        col = chol[:, k:, k] / np.sqrt(pivot)[:, None]
-        chol[:, k:, k] = col
-        chol[:, k + 1:, k + 1:] -= col[:, 1:, None] * col[:, None, 1:]
-    return np.tril(chol)
-
-
-def _solve_lower(chol, rhs):
-    """L^-1 X for lower triangular L (P, n, n) and X (P, n, m), by forward
-    substitution."""
-    x = np.array(rhs)
-    for k in range(x.shape[1]):
-        x[:, k] /= chol[:, k, k, None]
-        x[:, k + 1:] -= chol[:, k + 1:, k, None] * x[:, k, None]
-    return x
-
-
-def _geometric_stacks(frame, nus):
-    """GM stack (P, J, n, n) over the (P, J) weight table plus the midpoint GM
-    (P, n, n), read off the frame of _diagonalize_pairs: A #_nu B = W diag(t^nu) W^T.
-
-    Computed once per frame and weight table; every pair check takes it as is.
-    """
-    nus_ext = np.concatenate([nus, np.full((len(nus), 1), 0.5)], axis=1)
-    gm_ext = _sym4(_recon_powers(frame["w"], frame["t"], nus_ext))
-    return gm_ext[:, :-1], gm_ext[:, -1]
-
-
 def _pair_margins(check, frame, means, m, big_m, nus, rel_tol, label):
     """Margins (name -> (P, J)) and tolerances (P, 1) of one pair check.
 
@@ -513,29 +400,24 @@ def _pair_margins(check, frame, means, m, big_m, nus, rel_tol, label):
     instance p in error messages; a non-finite margin raises NumericalError.
     """
     r = np.minimum(nus, 1.0 - nus)
-    a4 = frame["a"][:, None, :, :]
-    b4 = frame["b"][:, None, :, :]
-    w = nus[:, :, None, None]
     r4 = r[:, :, None, None]
-    am = (1.0 - w) * a4 + w * b4
+    am = _arithmetic_stack(frame["a"], frame["b"], nus)
     gm, gm_half = means
-    bridge = 0.5 * (frame["a"] + frame["b"]) - gm_half
+    bridge = _bridge(frame, gm_half)
     h = big_m / m
 
     if check == "refined_chain":
         def ctx_msg(p, j):
             return f"check refined_chain instance ({label(p)}, nu={nus[p, j]})"
 
-        # Both harmonic means in the frame, each W diag(1/d) W^T:
-        # refined HM with d = t^-nu + r (1 - t^-1/2)^2, HM with d = (1 - nu) + nu/t.
+        # Both harmonic means in the frame, each W diag(1/d) W^T: the refined
+        # HM with d = t^-nu + r (1 - t^-1/2)^2, and the HM of means.py.
         inv_t = _inverse4(
             frame["t"][:, None], lambda p, j: f"check refined_chain instance ({label(p)})"
         )
-        nu3 = nus[:, :, None]
-        d_refined = inv_t**nu3 + r[:, :, None] * (1.0 - np.sqrt(inv_t)) ** 2
-        w4 = frame["w"][:, None]
-        refined_hm = _sym4(_recon(w4, _inverse4(d_refined, ctx_msg)))
-        hm = _sym4(_recon(w4, _inverse4((1.0 - nu3) + nu3 * inv_t, ctx_msg)))
+        d_refined = inv_t ** nus[:, :, None] + r[:, :, None] * (1.0 - np.sqrt(inv_t)) ** 2
+        refined_hm = _sym4(_recon(frame["w"][:, None], _inverse4(d_refined, ctx_msg)))
+        hm = _harmonic_stack(frame, inv_t, nus, ctx_msg)
         bridge_min = _eigvals_min_stack(bridge)
         margins = {
             "am_vs_refined_gm": _min_eig4(am - gm - 2.0 * r4 * bridge[:, None]),
@@ -635,7 +517,7 @@ def _check_pair(check, pair, nu, rel_tol, seed, index):
     def label(p):
         return f"index={index}, dim={pair.n}"
 
-    frame = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None], f"check {check}", label)
+    frame = _pair_frame(pair, f"check {check}", label)
     margins, tols = _pair_margins(
         check, frame, _geometric_stacks(frame, nus), np.array([pair.m]),
         np.array([pair.big_m]), nus, rel_tol, label,
@@ -795,7 +677,7 @@ def run_pair(pair: SpdPair, nu_grid=DEFAULT_NU_GRID, rel_tol=DEFAULT_REL_TOL):
     def label(p):
         return f"pair, dim={pair.n}"
 
-    frame = _diagonalize_pairs(pair.a.entries[None], pair.b.entries[None], "pair checks", label)
+    frame = _pair_frame(pair, "pair checks", label)
     means = _geometric_stacks(frame, nus)
     aggregates = []
     for check in PAIR_CHECK_NAMES:

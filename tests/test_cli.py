@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lapack_reference import pair_bounds, worst_and_violations
-from opmeans import cli, verify
+from opmeans import cli, matrices, verify
 from opmeans.cli import main
 from opmeans.matrices import SingularMatrixError, SymMatrix, save_matrix
 from opmeans.verify import DEFAULT_NU_GRID, augmented_nu_grid
@@ -213,6 +213,37 @@ def test_verify_pair_mode_frame_svd_failure_exits_3(monkeypatch, tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_verify_pair_mode_runs_no_jacobi_solve(monkeypatch, tmp_path):
+    # the pair's bounds, its frame and its margins all come from LAPACK
+    def no_jacobi(*args, **kwargs):
+        raise AssertionError("Jacobi solve in pair mode")
+
+    monkeypatch.setattr(matrices, "_eigh_stack", no_jacobi)
+    monkeypatch.setattr(verify, "_eigh_stack", no_jacobi)
+    out = tmp_path / "pair.json"
+    assert main(["verify", "--pair", *write_random_pair(tmp_path, 4, 17), "--out", str(out)]) == 0
+    assert [c["violations"] for c in read_json(out)["checks"]] == [0] * 4
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": true, "entries": [1.0]}',
+        '{"n": 2, "entries": ["2", 0.0, 0.0, 1.0]}',
+        '{"n": 2, "entries": [true, false, false, true]}',
+    ],
+    ids=["bool-n", "string-entry", "bool-entries"],
+)
+def test_verify_pair_mode_rejects_non_numeric_file_fields(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    _, good = write_random_pair(tmp_path, 2, 3)
+    assert main(["verify", "--pair", str(bad), good]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field ")
+    assert "Traceback" not in err
+
+
 def test_verify_pair_mode_margin_eigensolve_failure_exits_3(monkeypatch, tmp_path, capsys):
     pair = write_random_pair(tmp_path, 4, 17)
 
@@ -223,8 +254,8 @@ def test_verify_pair_mode_margin_eigensolve_failure_exits_3(monkeypatch, tmp_pat
     assert main(["verify", "--pair", *pair]) == 3
     err = capsys.readouterr().err
     assert (
-        "numerical error: smallest eigenvalues failed (Eigenvalues did not converge) "
-        "in a stack of 4" in err
+        "numerical error: eigenvalues failed (Eigenvalues did not converge) "
+        "in a stack of 2" in err
     )
     assert "Traceback" not in err
 

@@ -7,18 +7,13 @@ import pytest
 from opmeans import matrices
 from opmeans.matrices import (
     ConvergenceError,
-    NotPositiveSemidefiniteError,
     NumericalError,
     SingularMatrixError,
     SymMatrix,
     frobenius_norm,
     jacobi_eigen,
     load_matrix,
-    loewner_margin,
-    matrix_function,
     matrix_inverse,
-    matrix_power,
-    matrix_sqrt,
     operator_norm,
     save_matrix,
     spectral_bounds,
@@ -142,42 +137,6 @@ def test_convergence_error_carries_residual():
     assert err.value.residual > 0.0
 
 
-# ---------------------------------------------------------------------------
-# Matrix functions
-# ---------------------------------------------------------------------------
-
-def test_power_one_reproduces_input():
-    rng = np.random.default_rng(17)
-    a = random_sym(rng, 5)
-    b = matrix_power(a, 1)
-    assert np.linalg.norm(b.entries - a.entries) <= 1e-12 * frobenius_norm(a)
-
-
-def test_sqrt_of_diagonal():
-    s = matrix_sqrt(SymMatrix.diagonal([4.0, 9.0]))
-    assert np.allclose(s.entries, np.diag([2.0, 3.0]), atol=1e-14)
-
-
-def test_half_power_hand_value():
-    a = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    s = matrix_power(a, 0.5)
-    r3 = math.sqrt(3.0)
-    want = np.array([[(r3 + 1) / 2, (r3 - 1) / 2], [(r3 - 1) / 2, (r3 + 1) / 2]])
-    assert np.allclose(s.entries, want, atol=1e-13)
-    assert np.allclose((s.entries @ s.entries), a.entries, atol=1e-13)
-
-
-def test_sqrt_then_square_round_trip():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        n = int(rng.integers(2, 9))
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        lam = np.exp(rng.uniform(-2, 2, n))
-        a = SymMatrix.from_array(q @ np.diag(lam) @ q.T, tol=1e-12)
-        again = matrix_power(matrix_sqrt(a), 2)
-        assert np.linalg.norm(again.entries - a.entries) <= 1e-10 * frobenius_norm(a)
-
-
 def test_fractional_power_products():
     rng = np.random.default_rng(29)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
@@ -189,24 +148,14 @@ def test_fractional_power_products():
         assert np.allclose(prod, la, rtol=1e-13)
 
 
+# ---------------------------------------------------------------------------
+# Matrix inverse
+# ---------------------------------------------------------------------------
+
 def test_diagonal_commuting_exactness():
     d = SymMatrix.diagonal([1.0, 4.0, 9.0])
-    s = matrix_sqrt(d)
-    assert np.allclose(np.diag(s.entries), [1.0, 2.0, 3.0], rtol=1e-15, atol=1e-15)
     inv = matrix_inverse(d)
     assert np.allclose(np.diag(inv.entries), [1.0, 0.25, 1.0 / 9.0], rtol=1e-15)
-
-
-def test_clamps_tiny_negative_eigenvalue():
-    eps = 1e-14
-    a = SymMatrix.diagonal([-eps, 1.0])
-    s = matrix_sqrt(a)
-    assert s.entries[0, 0] == 0.0
-
-
-def test_rejects_indefinite_sqrt():
-    with pytest.raises(NotPositiveSemidefiniteError):
-        matrix_sqrt(SymMatrix.diagonal([-1.0, 1.0]))
 
 
 def test_rejects_singular_inverse():
@@ -216,42 +165,40 @@ def test_rejects_singular_inverse():
         matrix_inverse(SymMatrix.zeros(2))
 
 
-def test_integer_power_on_indefinite_allowed():
-    a = SymMatrix.diagonal([-2.0, 3.0])
-    sq = matrix_power(a, 2)
-    assert np.allclose(np.diag(sq.entries), [4.0, 9.0], rtol=1e-13)
-
-
-def test_unknown_function_tag():
-    with pytest.raises(ValueError):
-        matrix_function(SymMatrix.identity(2), ("exp", 1.0))
-
-
 # ---------------------------------------------------------------------------
-# Loewner margins, bounds, norms
+# Loewner margins (smallest eigenvalues of a difference), bounds, norms
 # ---------------------------------------------------------------------------
+
+def _loewner_margin(a, b):
+    """Smallest eigenvalue of a - b: nonnegative exactly when a >= b."""
+    return matrices._eigvals_min_stack((a - b).entries[None])[0]
+
 
 def test_loewner_margin_examples():
-    assert loewner_margin(SymMatrix.diagonal([2.0, 3.0]), SymMatrix.diagonal([1.0, 3.0])) == 0.0
+    assert _loewner_margin(SymMatrix.diagonal([2.0, 3.0]), SymMatrix.diagonal([1.0, 3.0])) == 0.0
     a = SymMatrix.diagonal([2.0, 1.0])
-    assert loewner_margin(a, a) == 0.0
-    got = loewner_margin(SymMatrix.diagonal([2.0, 1.0]), SymMatrix.diagonal([1.0, 2.0]))
+    assert _loewner_margin(a, a) == 0.0
+    got = _loewner_margin(SymMatrix.diagonal([2.0, 1.0]), SymMatrix.diagonal([1.0, 2.0]))
     assert got == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_loewner_margin_shape_error():
     with pytest.raises(ValueError):
-        loewner_margin(SymMatrix.identity(2), SymMatrix.identity(3))
+        matrices._eigvals_stack(np.ones((2, 2, 3)))
 
 
 def test_loewner_margin_negated_max():
+    # the verifier reads a largest eigenvalue as the last column of
+    # _eigvals_stack; it equals the negated smallest eigenvalue of the
+    # negated matrix bit for bit
     rng = np.random.default_rng(31)
     for _ in range(50):
         a = random_sym(rng, 4)
         b = random_sym(rng, 4)
-        m = loewner_margin(a, b)
-        lam_max = jacobi_eigen(b - a).lam[-1]
-        assert m == pytest.approx(-lam_max, abs=1e-12 * max(1.0, operator_norm(a) + operator_norm(b)))
+        lam_max = matrices._eigvals_stack((b - a).entries[None])[0, -1]
+        assert _loewner_margin(a, b) == -lam_max
+        ref = jacobi_eigen(b - a).lam[-1]
+        assert lam_max == pytest.approx(ref, abs=1e-12 * max(1.0, operator_norm(a) + operator_norm(b)))
 
 
 def test_spectral_bounds_examples():
@@ -301,6 +248,19 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text('{"n": 2.5, "entries": [1.0, 0.0, 0.0, 1.0]}')
     with pytest.raises(ValueError):
         load_matrix(path)
+    # booleans and strings are not numbers, though Python and numpy take them as such
+    for doc in (
+        '{"n": true, "entries": [1.0]}',
+        '{"n": "2", "entries": [1.0, 0.0, 0.0, 1.0]}',
+        '{"n": 2, "entries": ["2", 0.0, 0.0, 1.0]}',
+        '{"n": 2, "entries": [true, false, false, true]}',
+        '{"n": 2, "entries": [null, 0.0, 0.0, 1.0]}',
+        '{"n": 2, "entries": [[1.0], 0.0, 0.0, 1.0]}',
+        '{"n": 2, "entries": [1' + "0" * 400 + ', 0.0, 0.0, 1.0]}',
+    ):
+        path.write_text(doc)
+        with pytest.raises(ValueError):
+            load_matrix(path)
 
 
 def test_load_accepts_roundoff_asymmetry(tmp_path):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from opmeans import means, verify
 from opmeans.matrices import (
     SymMatrix,
     frobenius_norm,
@@ -168,6 +171,48 @@ def test_geometric_weight_reversal():
         lhs = weighted_geometric(pair, nu)
         rhs = weighted_geometric(swapped, 1.0 - nu)
         assert np.linalg.norm(lhs.entries - rhs.entries) <= 1e-10 * frobenius_norm(lhs)
+
+
+def test_geometric_from_identity_is_the_power():
+    # I #_nu A = A^nu: the frame's GM gives the operator powers, with their
+    # hand values, nu = 1, and the square of the square root
+    eye = SymMatrix.identity(2)
+    s = weighted_geometric(SpdPair.from_matrices(eye, SymMatrix([[2.0, 1.0], [1.0, 2.0]])), 0.5)
+    r3 = math.sqrt(3.0)
+    want = np.array([[(r3 + 1) / 2, (r3 - 1) / 2], [(r3 - 1) / 2, (r3 + 1) / 2]])
+    assert np.allclose(s.entries, want, atol=1e-13)
+    s = weighted_geometric(SpdPair.from_matrices(eye, SymMatrix.diagonal([4.0, 9.0])), 0.5)
+    assert np.allclose(s.entries, np.diag([2.0, 3.0]), atol=1e-14)
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        a = random_spd(rng, n, math.exp(-2.0), math.exp(2.0))
+        pair = SpdPair.from_matrices(SymMatrix.identity(n), a)
+        root = weighted_geometric(pair, 0.5).entries
+        assert np.linalg.norm(root @ root - a.entries) <= 1e-10 * frobenius_norm(a)
+        one = weighted_geometric(pair, 1.0).entries
+        assert np.linalg.norm(one - a.entries) <= 1e-12 * frobenius_norm(a)
+
+
+def test_public_means_are_views_of_the_verifier_frame():
+    # one implementation: for every pair of a suite chunk and every weight of
+    # its augmented grid, the public means equal the verifier's stacks bit
+    # for bit
+    cfg = verify.SuiteConfig(trials=24, dims=(4,)).validate()
+    for dim in (2, 3, 8):
+        a, b = verify._gen_chunk_pairs(cfg, "refined_chain", dim, list(range(24)))
+        frame = verify._diagonalize_pairs(a, b, "test", str)
+        nus = verify._nu_table(cfg.nu_grid, frame["scale"] / frame["m_hat"])
+        gm, gm_half = verify._geometric_stacks(frame, nus)
+        inv_t = verify._inverse4(frame["t"][:, None], str)
+        hm = means._harmonic_stack(frame, inv_t, nus, str)
+        bridge = means._bridge(frame, gm_half)
+        for p in range(len(a)):
+            pair = SpdPair.from_matrices(SymMatrix._wrap(a[p]), SymMatrix._wrap(b[p]))
+            assert np.array_equal(refinement_bridge(pair).entries, bridge[p])
+            for j, nu in enumerate(nus[p]):
+                assert np.array_equal(weighted_geometric(pair, nu).entries, gm[p, j])
+                assert np.array_equal(weighted_harmonic(pair, nu).entries, hm[p, j])
 
 
 def test_geometric_congruence_invariance():

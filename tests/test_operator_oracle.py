@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from opmeans.means import weighted_geometric, weighted_harmonic
 from opmeans.verify import (
     augmented_nu_grid,
     check_baseline_reverses,
@@ -156,6 +157,33 @@ def test_reverse_ratio_matches_high_precision_oracle_at_large_h(seed, dim, nu, h
     res = check_reverse_ratio(pair, nu)
     want = mp_min_eig(s * gm - (am - 2 * r * bridge))
     assert res.margins["reverse_ratio"] == pytest.approx(float(want), abs=5e-3 * res.tol)
+
+
+def mp_harmonic(a, b, nu):
+    return mp_sym_power((1 - nu) * mp_sym_power(a, -1) + nu * mp_sym_power(b, -1), -1)
+
+
+def mp_rel_error(got, want):
+    return float(mp.mnorm(to_mp(got) - want, "f") / mp.mnorm(want, "f"))
+
+
+@pytest.mark.parametrize("h", [1e4, 1e8])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_public_means_match_high_precision_oracle_at_large_h(dim, h):
+    # relative Frobenius errors over these 24 cases at h = 1e8: the frame
+    # keeps GM to 1.1e-9 and HM to 2.5e-9; a sandwich route
+    # A^1/2 (A^-1/2 B A^-1/2)^nu A^1/2 errs by up to 7.4e-2 on them, and
+    # Jacobi inverses of A, B and the mix by 3.5e-8
+    for seed in range(4):
+        pair = gen_spd_pair(dim, 1.0, h, np.random.default_rng(seed))
+        a = to_mp(pair.a.entries)
+        b = to_mp(pair.b.entries)
+        for nu in (0.3, 0.5):
+            nu_mp = mp.mpf(nu)
+            gm_err = mp_rel_error(weighted_geometric(pair, nu).entries, mp_geometric(a, b, nu_mp))
+            hm_err = mp_rel_error(weighted_harmonic(pair, nu).entries, mp_harmonic(a, b, nu_mp))
+            assert gm_err <= 1e-8, (seed, nu, gm_err)
+            assert hm_err <= 1e-8, (seed, nu, hm_err)
 
 
 def test_hm_margins_match_high_precision_oracle():

@@ -14,7 +14,7 @@ from opmeans.scalar import (
     specht_ratio,
     young_gap,
 )
-from opmeans import verify
+from opmeans import matrices, means, verify
 from opmeans.verify import (
     CHECK_NAMES,
     SuiteConfig,
@@ -608,7 +608,7 @@ def test_cholesky_names_the_first_zero_pivot():
         SingularMatrixError,
         match=r"^pair matrix B has no Cholesky factor \(pivot 0\.000e\+00\) in instance 1$",
     ):
-        verify._cholesky(stack, "B", lambda p: f"instance {p}")
+        means._cholesky(stack, "B", lambda p: f"instance {p}")
 
 
 def test_margin_eigensolve_failure_is_a_chunk_error(monkeypatch):
@@ -619,14 +619,15 @@ def test_margin_eigensolve_failure_is_a_chunk_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     _assert_only_reverse_ratio_refused(
         run_suite(SuiteConfig(trials=8, dims=(2,), checks=("reverse_ratio", "holder_mccarthy"))),
-        "smallest eigenvalues failed (Eigenvalues did not converge) in a stack of 32",
+        "eigenvalues failed (Eigenvalues did not converge) in a stack of 16",
     )
 
 
 def test_margin_stacks_are_exactly_symmetric(monkeypatch):
     # LAPACK reads only the lower triangle of each margin matrix, so every
-    # stack that reaches it must equal its transpose bit for bit
-    real = verify._eigvals_min_stack
+    # stack that reaches it must equal its transpose bit for bit: the margin
+    # stacks, and the [A; B] stacks of the frame and of SpdPair
+    real = matrices._eigvals_stack
     sizes = []
 
     def symmetric_only(stack):
@@ -634,7 +635,8 @@ def test_margin_stacks_are_exactly_symmetric(monkeypatch):
         sizes.append(len(stack))
         return real(stack)
 
-    monkeypatch.setattr(verify, "_eigvals_min_stack", symmetric_only)
+    for module in (matrices, means, verify):
+        monkeypatch.setattr(module, "_eigvals_stack", symmetric_only)
     run_suite(SuiteConfig())
     run_suite(SuiteConfig(trials=64, dims=(12,), big_m=1e8))
     verify.run_pair(gen_spd_pair(4, 1.0, 10.0, rng_for(0, "refined_chain", 0)))
