@@ -18,6 +18,7 @@ from opmeans.matrices import (
     save_matrix,
     spectral_bounds,
 )
+from opmeans.means import SpdPair, weighted_geometric
 
 
 def random_sym(rng, n, scale=10.0):
@@ -135,6 +136,51 @@ def test_convergence_error_carries_residual():
     with pytest.raises(ConvergenceError) as err:
         jacobi_eigen(a, max_sweeps=0)
     assert err.value.residual > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Operator powers (A^nu = I #_nu A)
+# ---------------------------------------------------------------------------
+
+def identity_power(a, nu):
+    # A^nu = I #_nu A, taken through the congruence frame's geometric mean
+    return weighted_geometric(SpdPair.from_matrices(SymMatrix.identity(a.n), a), nu)
+
+
+def random_spd(rng, n, lam_lo, lam_hi):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = np.exp(rng.uniform(np.log(lam_lo), np.log(lam_hi), n))
+    return SymMatrix.from_array(q @ np.diag(lam) @ q.T, tol=1e-12)
+
+
+def test_power_one_reproduces_input():
+    rng = np.random.default_rng(17)
+    a = random_spd(rng, 5, 0.1, 10.0)
+    b = identity_power(a, 1.0)
+    assert np.linalg.norm(b.entries - a.entries) <= 1e-12 * frobenius_norm(a)
+
+
+def test_sqrt_of_diagonal():
+    s = identity_power(SymMatrix.diagonal([4.0, 9.0]), 0.5)
+    assert np.allclose(s.entries, np.diag([2.0, 3.0]), atol=1e-14)
+
+
+def test_half_power_hand_value():
+    a = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
+    s = identity_power(a, 0.5)
+    r3 = math.sqrt(3.0)
+    want = np.array([[(r3 + 1) / 2, (r3 - 1) / 2], [(r3 - 1) / 2, (r3 + 1) / 2]])
+    assert np.allclose(s.entries, want, atol=1e-13)
+    assert np.allclose((s.entries @ s.entries), a.entries, atol=1e-13)
+
+
+def test_sqrt_then_square_round_trip():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        n = int(rng.integers(2, 9))
+        a = random_spd(rng, n, math.exp(-2.0), math.exp(2.0))
+        root = identity_power(a, 0.5).entries
+        assert np.linalg.norm(root @ root - a.entries) <= 1e-10 * frobenius_norm(a)
 
 
 def test_fractional_power_products():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -171,27 +169,6 @@ def test_geometric_weight_reversal():
         lhs = weighted_geometric(pair, nu)
         rhs = weighted_geometric(swapped, 1.0 - nu)
         assert np.linalg.norm(lhs.entries - rhs.entries) <= 1e-10 * frobenius_norm(lhs)
-
-
-def test_geometric_from_identity_is_the_power():
-    # I #_nu A = A^nu: the frame's GM gives the operator powers, with their
-    # hand values, nu = 1, and the square of the square root
-    eye = SymMatrix.identity(2)
-    s = weighted_geometric(SpdPair.from_matrices(eye, SymMatrix([[2.0, 1.0], [1.0, 2.0]])), 0.5)
-    r3 = math.sqrt(3.0)
-    want = np.array([[(r3 + 1) / 2, (r3 - 1) / 2], [(r3 - 1) / 2, (r3 + 1) / 2]])
-    assert np.allclose(s.entries, want, atol=1e-13)
-    s = weighted_geometric(SpdPair.from_matrices(eye, SymMatrix.diagonal([4.0, 9.0])), 0.5)
-    assert np.allclose(s.entries, np.diag([2.0, 3.0]), atol=1e-14)
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        n = int(rng.integers(2, 9))
-        a = random_spd(rng, n, math.exp(-2.0), math.exp(2.0))
-        pair = SpdPair.from_matrices(SymMatrix.identity(n), a)
-        root = weighted_geometric(pair, 0.5).entries
-        assert np.linalg.norm(root @ root - a.entries) <= 1e-10 * frobenius_norm(a)
-        one = weighted_geometric(pair, 1.0).entries
-        assert np.linalg.norm(one - a.entries) <= 1e-12 * frobenius_norm(a)
 
 
 def test_public_means_are_views_of_the_verifier_frame():
