@@ -13,9 +13,9 @@ Jacobi: there a row or a column of every matrix at once is n contiguous rows
 of length B, so each numpy operation is arithmetic on long rows rather than B
 strided gathers of length n, and its rotations, their order and their
 floating-point expressions are those of a matrix-by-matrix solve.  It serves
-SymMatrix and the verifier's state-vector check.  _eigvals_stack serves the
-Loewner margins, the spectral bounds of a pair and the frame's positivity
-screen from LAPACK, without eigenvectors.
+SymMatrix alone.  LAPACK serves the verifier: _eigvals_stack, without
+eigenvectors, the Loewner margins, the spectral bounds of a pair and the
+frame's positivity screen; _eigvecs_stack the state-vector check.
 """
 
 from __future__ import annotations
@@ -293,6 +293,18 @@ def _eigvals_stack(stack):
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"eigenvalues failed ({err}) in a stack of {len(a)}") from err
+
+
+def _eigvecs_stack(stack):
+    """Ascending eigenvalues (B, n) and orthonormal eigenvectors (B, n, n, in
+    columns) of a (B, n, n) symmetric stack by LAPACK (numpy.linalg.eigh),
+    which reads only the lower triangle.  The signs of the eigenvectors are
+    LAPACK's.  Raises NumericalError as _eigvals_stack does."""
+    a = _checked_stack(stack)
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"eigenvectors failed ({err}) in a stack of {len(a)}") from err
 
 
 def _eigvals_min_stack(stack):

@@ -3,7 +3,7 @@
 Every mean of a pair is read off one congruence frame (Bhatia, Positive
 Definite Matrices, ch. 4): A = W W^T and B = W diag(t) W^T, so that
 
-  A #_nu B = W diag(t^nu) W^T,   A !_nu B = W diag(1 / ((1 - nu) + nu / t)) W^T.
+  A #_nu B = W diag(t^nu) W^T,   A !_nu B = W diag(t / ((1 - nu) t + nu)) W^T.
 
 The frame code works on a (P, n, n) pair stack and a (P, J) weight table.
 The verifier builds one frame per chunk of instances; the public means are
@@ -101,8 +101,10 @@ def _recon(q, lam):
     return (q * lam[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
-def _sym4(stack):
-    return 0.5 * (stack + stack.transpose(0, 1, 3, 2))
+def _sym(stack):
+    """(X + X^T) / 2 over a stack of square matrices: equal to its transpose
+    bit for bit."""
+    return 0.5 * (stack + np.swapaxes(stack, -1, -2))
 
 
 def _inverse4(diag, context):
@@ -122,15 +124,16 @@ def _inverse4(diag, context):
 def _diagonalize_pairs(a, b, where, label):
     """The weight-independent congruence frame of a (P, n, n) pair stack.
 
-    The extreme eigenvalues of A and B come from one _eigvals_stack call on
-    [A; B].  With the Cholesky factors A = L_A L_A^T and B = L_B L_B^T and the
-    SVD G = L_A^-1 L_B = U diag(s) V^T, the frame keeps t = s^2 (ascending)
-    and W = L_A U; the means do not depend on the signs of U's columns.
-    C = G G^T is never formed, so its condition is never squared, and the
-    harmonic means invert diagonals, never a matrix.  A or B not positive
-    definite, or without a Cholesky factor, raises SingularMatrixError naming
-    the matrix and the first such instance as "<where> instance (<label(p)>)";
-    an SVD that does not converge raises NumericalError naming where.
+    The extreme eigenvalues of A and B (rows of low and top, each (2, P)) come
+    from one _eigvals_stack call on [A; B].  With the Cholesky factors
+    A = L_A L_A^T and B = L_B L_B^T and the SVD G = L_A^-1 L_B = U diag(s) V^T,
+    the frame keeps t = s^2 (ascending) and W = L_A U; the means do not
+    depend on the signs of U's columns.  C = G G^T is never formed, so its
+    condition is never squared, and no mean inverts a matrix.  A or B not
+    positive definite, or without a Cholesky factor, raises
+    SingularMatrixError naming the matrix and the first such instance as
+    "<where> instance (<label(p)>)"; an SVD that does not converge raises
+    NumericalError naming where.
     """
     p = len(a)
 
@@ -156,8 +159,10 @@ def _diagonalize_pairs(a, b, where, label):
     return {
         "a": a,
         "b": b,
-        "m_hat": np.minimum(low[0], low[1]),
+        "low": low,
+        "top": top,
         "top_a": top[0],
+        "m_hat": np.minimum(low[0], low[1]),
         "scale": np.maximum(top[0], top[1]),
         "t": s[:, ::-1] ** 2,
         "w": chol_a @ u[:, :, ::-1],
@@ -205,21 +210,22 @@ def _arithmetic_stack(a, b, nus):
     return (1.0 - w) * a[:, None] + w * b[:, None]
 
 
-def _geometric_stacks(frame, nus):
-    """GM stack (P, J, n, n) over the (P, J) weight table plus the midpoint GM
-    (P, n, n), read off the frame of _diagonalize_pairs: A #_nu B = W diag(t^nu) W^T."""
-    nus_ext = np.concatenate([nus, np.full((len(nus), 1), 0.5)], axis=1)
-    powers = np.power(frame["t"][:, None, :], nus_ext[:, :, None])
-    gm_ext = _sym4(_recon(frame["w"][:, None], powers))
-    return gm_ext[:, :-1], gm_ext[:, -1]
+def _geometric_stacks(w, t, nus):
+    """GM stack (P, J, n, n) over the (P, J) weight table, from frame rows w
+    (P, n, n) and t (P, n) of _diagonalize_pairs: A #_nu B = W diag(t^nu) W^T."""
+    return _sym(_recon(w[:, None], np.power(t[:, None, :], nus[:, :, None])))
 
 
-def _harmonic_stack(frame, inv_t, nus, context):
-    """HM stack (P, J, n, n) over the (P, J) weight table, given inv_t = 1/t
-    (P, 1, n): A !_nu B = W diag(1 / ((1 - nu) + nu / t)) W^T.  The diagonal
-    is inverted by _inverse4, whose context(p, j) names a refused entry."""
-    nu3 = nus[:, :, None]
-    return _sym4(_recon(frame["w"][:, None], _inverse4((1.0 - nu3) + nu3 * inv_t, context)))
+def _harmonic_diag(t, nu):
+    """Frame diagonal t / ((1 - nu) t + nu) of the HM, elementwise over
+    broadcast t and nu: no division by t, so it is defined for every t > 0."""
+    return t / ((1.0 - nu) * t + nu)
+
+
+def _harmonic_stack(w, t, nus):
+    """HM stack (P, J, n, n) over the (P, J) weight table, from frame rows w
+    and t: A !_nu B = W diag(t / ((1 - nu) t + nu)) W^T."""
+    return _sym(_recon(w[:, None], _harmonic_diag(t[:, None, :], nus[:, :, None])))
 
 
 def _bridge(frame, gm_half):
@@ -236,19 +242,16 @@ def weighted_arithmetic(pair: SpdPair, nu) -> SymMatrix:
 def weighted_geometric(pair: SpdPair, nu) -> SymMatrix:
     """Weighted geometric mean A #_nu B = W diag(t^nu) W^T in the pair's frame."""
     nus = np.array([[_require_nu(nu)]])
-    gm, _ = _geometric_stacks(_pair_frame(pair, "weighted_geometric"), nus)
-    return SymMatrix._wrap(gm[0, 0])
+    frame = _pair_frame(pair, "weighted_geometric")
+    return SymMatrix._wrap(_geometric_stacks(frame["w"], frame["t"], nus)[0, 0])
 
 
 def weighted_harmonic(pair: SpdPair, nu) -> SymMatrix:
-    """((1-nu) A^(-1) + nu B^(-1))^(-1); the frame certifies t > 0, so only the
-    diagonal (1 - nu) + nu / t meets the inversion floor of _inverse4."""
+    """((1-nu) A^(-1) + nu B^(-1))^(-1) = W diag(t / ((1 - nu) t + nu)) W^T in
+    the pair's frame, which certifies t > 0: no inverse is formed."""
     nus = np.array([[_require_nu(nu)]])
     frame = _pair_frame(pair, "weighted_harmonic")
-    hm = _harmonic_stack(
-        frame, 1.0 / frame["t"][:, None], nus, lambda p, j: f"weighted_harmonic (nu={nus[p, j]})"
-    )
-    return SymMatrix._wrap(hm[0, 0])
+    return SymMatrix._wrap(_harmonic_stack(frame["w"], frame["t"], nus)[0, 0])
 
 
 def refinement_bridge(pair: SpdPair) -> SymMatrix:
@@ -258,7 +261,7 @@ def refinement_bridge(pair: SpdPair) -> SymMatrix:
     it is the refinement term of the mean-ordering chain.
     """
     frame = _pair_frame(pair, "refinement_bridge")
-    _, gm_half = _geometric_stacks(frame, np.array([[0.5]]))
+    gm_half = _geometric_stacks(frame["w"], frame["t"], np.array([[0.5]]))[:, 0]
     return SymMatrix._wrap(_bridge(frame, gm_half)[0])
 
 

@@ -198,17 +198,24 @@ def reverse_diff_margin(a, b, nu):
     return _scalar_out(out, a, b, nu)
 
 
+def _critical_base(b):
+    """b as a float array; every entry must be finite, positive and not 1."""
+    barr = np.asarray(b, dtype=float)
+    if not ((barr > 0.0) & (barr < np.inf)).all():
+        raise ValueError("b must be strictly positive")
+    if (barr == 1.0).any():
+        raise ValueError("b = 1 is degenerate (every weight is maximizing)")
+    return barr
+
+
 def critical_nu_ratio(b):
     """Maximizing weight 1/ln(b) - 1/(2(sqrt(b)-1)) of the ratio-reverse objective.
 
     Defined for b > 0, b != 1; always lies in [0, 1/2].
     """
-    bf = float(b)
-    if not np.isfinite(bf) or bf <= 0.0:
-        raise ValueError("b must be strictly positive")
-    if bf == 1.0:
-        raise ValueError("b = 1 is degenerate (every weight is maximizing)")
-    return float(1.0 / np.log(bf) - 1.0 / (2.0 * (np.sqrt(bf) - 1.0)))
+    barr = _critical_base(b)
+    out = 1.0 / np.log(barr) - 1.0 / (2.0 * (np.sqrt(barr) - 1.0))
+    return _scalar_out(out, b)
 
 
 def critical_nu_diff(b):
@@ -216,13 +223,10 @@ def critical_nu_diff(b):
 
     Defined for b > 0, b != 1; always lies in [0, 1/2].
     """
-    bf = float(b)
-    if not np.isfinite(bf) or bf <= 0.0:
-        raise ValueError("b must be strictly positive")
-    if bf == 1.0:
-        raise ValueError("b = 1 is degenerate (every weight is maximizing)")
-    rb = np.sqrt(bf)
-    return float(np.log((rb - 1.0) / np.log(rb)) / np.log(bf))
+    barr = _critical_base(b)
+    rb = np.sqrt(barr)
+    out = np.log((rb - 1.0) / np.log(rb)) / np.log(barr)
+    return _scalar_out(out, b)
 
 
 def reverse_ratio_objective(b, nu):

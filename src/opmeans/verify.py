@@ -37,11 +37,16 @@ the check and the instance; a failed SVD names the check, a failed margin
 eigensolve its stack size.
 
 Each pair margin is the smallest (or, for the difference reverse, largest)
-eigenvalue of a stack of margin matrices, from matrices._eigvals_stack
-(LAPACK, no eigenvectors), which reads only the lower triangle: every margin
-stack is built from symmetric operands by elementwise arithmetic, so it is
-exactly symmetric.  Only the state-vector margins need a Jacobi solve
-(matrices._eigh_stack), one per chunk.
+eigenvalue of a margin matrix, from matrices._eigvals_stack (LAPACK, no
+eigenvectors), which reads only the lower triangle: every margin matrix is
+built from symmetric operands by elementwise arithmetic, so it is exactly
+symmetric.  A margin array holds that eigenvalue only where the kernel
+solved it, and elsewhere a certified lower bound: the kernel brackets every
+margin from the diagonal of its matrix in the frame and solves only the
+margins that can be their name's worst or a violation (see _pair_margins),
+so the worst margin, its instance and the violation count are those of
+solving them all.  The state-vector margins need one LAPACK eigendecomposition
+per chunk (matrices._eigvecs_stack).
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from .matrices import (
     _eigh_stack,
     _eigvals_min_stack,
     _eigvals_stack,
+    _eigvecs_stack,
     MIN_DIM,
     MAX_DIM,
 )
@@ -69,12 +75,13 @@ from .means import (
     _bridge,
     _diagonalize_pairs,
     _geometric_stacks,
+    _harmonic_diag,
     _harmonic_stack,
     _inverse4,
     _pair_frame,
     _recon,
     _require_nu,
-    _sym4,
+    _sym,
 )
 from .scalar import critical_nu_diff, critical_nu_ratio, log_mean, specht_ratio
 
@@ -311,36 +318,30 @@ def gen_unit_vector(dim, rng) -> UnitVector:
     return UnitVector(v / norm)
 
 
+def _nu_table(base, h):
+    """(P, J) weight table: the base grid plus the two critical weights of each
+    condition ratio in h, clamped to [0, 1]; h = 1 gives (1/2, 1/2)."""
+    h = np.asarray(h, dtype=float)
+    one = h == 1.0
+    b = np.where(one, 2.0, h)
+    table = np.empty((len(h), len(base) + 2))
+    table[:, :-2] = base
+    table[:, -2] = critical_nu_ratio(b)
+    table[:, -1] = critical_nu_diff(b)
+    extra = table[:, -2:]
+    np.minimum(np.maximum(extra, 0.0, out=extra), 1.0, out=extra)
+    extra[one] = 0.5
+    return table
+
+
 def augmented_nu_grid(base, h):
     """Base grid plus the two critical weights of condition ratio h, clamped to [0, 1]."""
-    if h == 1.0:
-        extra = (0.5, 0.5)
-    else:
-        extra = (
-            min(max(critical_nu_ratio(h), 0.0), 1.0),
-            min(max(critical_nu_diff(h), 0.0), 1.0),
-        )
-    return tuple(base) + extra
-
-
-def _nu_table(base, h):
-    """(P, J) weight table: the base grid plus the critical weights of each h."""
-    return np.array([augmented_nu_grid(base, float(hk)) for hk in h])
+    return tuple(base) + tuple(_nu_table((), [h])[0].tolist())
 
 
 # ---------------------------------------------------------------------------
 # Batched margin kernels
 # ---------------------------------------------------------------------------
-
-def _min_eig4(stack):
-    p, j, n, _ = stack.shape
-    return _eigvals_min_stack(stack.reshape(p * j, n, n)).reshape(p, j)
-
-
-def _max_eig4(stack):
-    p, j, n, _ = stack.shape
-    return _eigvals_stack(stack.reshape(p * j, n, n))[:, -1].reshape(p, j)
-
 
 def _require_finite(check, margins, nus, label):
     """Raise NumericalError naming the first instance with a non-finite margin."""
@@ -390,72 +391,253 @@ class _Accumulator:
         )
 
 
-def _pair_margins(check, frame, means, m, big_m, nus, rel_tol, label):
-    """Margins (name -> (P, J)) and tolerances (P, 1) of one pair check.
+# The screen's slack per unit of dimension and of operand size.  By Weyl's
+# theorem it must cover the frame residuals that _diagonalize_pairs is held
+# to (A = W W^T within 8 n eps ||A||, B = W diag(t) W^T within
+# 8 n eps sqrt(h) ||B||), the roundoff of forming a margin matrix and
+# LAPACK's backward error, both smaller than the residual of A.
+_SCREEN_SLACK = 8.0 * np.finfo(float).eps
 
-    frame is a pair stack from _diagonalize_pairs and means its
-    _geometric_stacks over nus, the (P, J) weight table; m and big_m (P,) are
-    the spectral bounds that set h and the reverse constants.  The tolerance
-    is rel_tol times the larger operator norm of A and B.  label(p) names
-    instance p in error messages; a non-finite margin raises NumericalError.
+
+def _eig_bracket(d, t, low, top):
+    """Bounds (lo, hi), each (2, K, P, J), on the smallest ([0]) and the
+    largest ([1]) eigenvalue of W diag(d) W^T for K stacks of frame diagonals
+    d (K, n, P, J), with the index of the diagonal before the table so that
+    its extremes are elementwise extremes of n arrays; t is (n, P, 1).
+
+    By Ostrowski's theorem (Horn and Johnson, Matrix Analysis, Thm 4.5.9)
+    the eigenvalues are theta * min d and theta' * max d for some theta,
+    theta' in the spectrum of W W^T = A, and likewise with d/t in that of
+    W diag(t) W^T = B; low and top (2, P) enclose the spectra of A and of B.
+    A NaN in d makes its bounds NaN.
     """
+    q = np.stack((d, d / t))
+    # axis 0: smallest or largest; axis 1: the frame of A or of B
+    ext = np.stack((np.minimum.reduce(q, axis=2), np.maximum.reduce(q, axis=2)))
+    at_low = low[:, None, :, None] * ext
+    at_top = top[:, None, :, None] * ext
+    return (np.maximum.reduce(np.minimum(at_low, at_top), axis=1),
+            np.minimum.reduce(np.maximum(at_low, at_top), axis=1))
+
+
+def _candidates(lo, hi, tols):
+    """Mask (N, P, J) of the margins, bounded by lo and hi (N, P, J) for N
+    names, that can be their name's worst over the (P, J) table or a
+    violation of tols (P, 1): those whose lower bound is not above both the
+    name's smallest upper bound and -tol.  A NaN bound makes a candidate."""
+    return ~(lo > np.maximum(np.minimum.reduce(hi.reshape(len(hi), -1), axis=1)[:, None, None], -tols))
+
+
+def _screen(mats, names, frame, t, tols):
+    """Lower bounds (N, P, J) on N eigenvalue margins, and the mask (K, P * J)
+    of the table rows where each of K margin matrices must be solved.
+
+    mats holds (d, size, shift) per matrix: its frame diagonals d and the
+    sums of the magnitudes of their terms (n, P, J), and c (P, 1) in
+    W diag(d) W^T + c I, or None.  names holds (k, largest, c) per margin:
+    lambda_min of matrix k, or c (P,) - lambda_max if largest.  t is (n, P, 1)
+    and tols (P, 1).  The bounds of _eig_bracket are widened by
+    8 n eps ((1 + sqrt(h)) ||A|| max_i size_i + |c|), and a row is needed
+    where some margin on it is one of the _candidates.
+    """
+    k_count = len(mats)
+    _, p_count, j_count = mats[0][0].shape
+    unit = _SCREEN_SLACK * len(t)
+    h = frame["scale"] / frame["m_hat"]
+    widen = unit * frame["top"]
+    widen[1] *= np.sqrt(h)
+    lo, hi = _eig_bracket(np.stack([d for d, _, _ in mats]), t, frame["low"] - widen, frame["top"] + widen)
+    shift = np.zeros((k_count, p_count, 1))
+    for k, (_, _, c) in enumerate(mats):
+        if c is not None:
+            shift[k] = c
+    size = np.maximum.reduce(np.stack([size for _, size, _ in mats]), axis=1)
+    slack = (unit * (1.0 + np.sqrt(h)) * frame["top_a"])[:, None] * size + unit * np.abs(shift)
+    lo = lo - slack + shift
+    hi = hi + slack + shift
+    name_k = np.array([k for k, _, _ in names])
+    largest = np.array([int(largest) for _, largest, _ in names])
+    name_lo = lo[largest, name_k]
+    name_hi = hi[largest, name_k]
+    for i, (_, _, c) in enumerate(names):
+        if c is not None:
+            c = c[:, None]
+            name_lo[i], name_hi[i] = c - name_hi[i] - unit * np.abs(c), c - name_lo[i] + unit * np.abs(c)
+    need = np.zeros((k_count, p_count * j_count), dtype=bool)
+    np.logical_or.at(need, name_k, _candidates(name_lo, name_hi, tols).reshape(len(names), -1))
+    return name_lo, need
+
+
+def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
+    """Margins (name -> (P, J)) and tolerances (P, 1) of each pair check in
+    checks, as a dict check -> (margins, tols).
+
+    frame is a pair stack from _diagonalize_pairs and nus the (P, J) weight
+    table; m and big_m (P,) are the spectral bounds that set h and the reverse
+    constants.  The tolerance is rel_tol times the larger operator norm of A
+    and B.  label(p) names instance p in error messages; a non-finite margin
+    raises NumericalError.
+
+    Every margin but refined_gm_vs_gm is an extreme eigenvalue of a margin
+    matrix that equals, up to roundoff, W diag(d) W^T + c I in the frame.
+    _screen bounds each from its diagonal d and keeps the margins that can be
+    their name's worst over the table or a violation; only their matrices are
+    formed, on their rows alone and by the expressions that define the
+    margins, and solved in one _eigvals_stack call.  Every other margin is
+    reported as its lower bound, which is above its name's worst and above
+    -tol, so the worst margin, its instance and the violation count are
+    those of solving every matrix.
+    """
+    a, b, w, t = frame["a"], frame["b"], frame["w"], frame["t"]
+    p_count, j_count = nus.shape
     r = np.minimum(nus, 1.0 - nus)
-    r4 = r[:, :, None, None]
-    am = _arithmetic_stack(frame["a"], frame["b"], nus)
-    gm, gm_half = means
-    bridge = _bridge(frame, gm_half)
     h = big_m / m
+    tols = rel_tol * frame["scale"][:, None]
+    bridge = _bridge(frame, _geometric_stacks(w, t, np.full((p_count, 1), 0.5))[:, 0])
+    if "reverse_ratio" in checks or "reverse_difference" in checks:
+        s_root = specht_ratio(np.sqrt(h))
+    # the frame diagonals over the table, (n, P, J) with the index i first
+    t_i = t.T[:, :, None]
+    root_t = np.sqrt(t_i)
+    am_d = (1.0 - nus) + nus * t_i
+    gm_d = np.power(t_i, nus)
+    # 2r times the bridge diagonal (1 + t)/2 - sqrt(t), and the size of its terms
+    bridge_d = r * (1.0 - root_t) ** 2
+    bridge_size = r * (1.0 + root_t) ** 2
 
-    if check == "refined_chain":
-        def ctx_msg(p, j):
-            return f"check refined_chain instance ({label(p)}, nu={nus[p, j]})"
+    def two_r_bridge(p, j):
+        return 2.0 * r[p, j][:, None, None] * bridge[p]
 
-        # Both harmonic means in the frame, each W diag(1/d) W^T: the refined
-        # HM with d = t^-nu + r (1 - t^-1/2)^2, and the HM of means.py.
-        inv_t = _inverse4(
-            frame["t"][:, None], lambda p, j: f"check refined_chain instance ({label(p)})"
-        )
-        d_refined = inv_t ** nus[:, :, None] + r[:, :, None] * (1.0 - np.sqrt(inv_t)) ** 2
-        refined_hm = _sym4(_recon(frame["w"][:, None], _inverse4(d_refined, ctx_msg)))
-        hm = _harmonic_stack(frame, inv_t, nus, ctx_msg)
-        bridge_min = _eigvals_min_stack(bridge)
-        margins = {
-            "am_vs_refined_gm": _min_eig4(am - gm - 2.0 * r4 * bridge[:, None]),
-            "refined_gm_vs_gm": 2.0 * r * bridge_min[:, None],
-            "gm_vs_refined_hm": _min_eig4(gm - refined_hm),
-            "refined_hm_vs_hm": _min_eig4(refined_hm - hm),
-            "am_vs_gm": _min_eig4(am - gm),
-        }
-    elif check == "reverse_ratio":
-        s = specht_ratio(np.sqrt(h))[:, None, None, None]
-        margins = {
-            "reverse_ratio": _min_eig4(s * gm - (am - 2.0 * r4 * bridge[:, None]))
-        }
-    elif check == "reverse_difference":
-        root_h = np.sqrt(h)
-        log_s = np.log(specht_ratio(root_h))
-        c_global = h * np.sqrt(big_m) * log_mean(np.sqrt(big_m), np.sqrt(m)) * log_s
-        c_tight = root_h * log_mean(root_h, 1.0) * log_s * frame["top_a"]
-        rhs_max = _max_eig4(am - gm - 2.0 * r4 * bridge[:, None])
-        margins = {
-            "reverse_difference": c_global[:, None] - rhs_max,
-            "reverse_difference_tight": c_tight[:, None] - rhs_max,
-        }
-    elif check == "baseline_reverses":
-        s = specht_ratio(h)
-        diff_const = h * log_mean(m, big_m) * np.log(s)
-        eye = np.eye(frame["a"].shape[-1])
-        margins = {
-            "baseline_ratio": _min_eig4(s[:, None, None, None] * gm - am),
-            "baseline_difference": _min_eig4(
-                diff_const[:, None, None, None] * eye + gm - am
-            ),
-        }
-    else:  # pragma: no cover - guarded by config validation
-        raise ValueError(f"not a pair check: {check}")
+    # margin matrices: key -> (d, size of d's terms, shift c or None,
+    # operands, form), where form(ops, p, j) builds the matrices at table
+    # rows (p, j) from the operands there
+    mats = {}
+    # check -> [(name, key, largest, c)]: lambda_min of the key's matrix, or
+    # c - lambda_max if largest; or [(name, the exact (P, J) margins)]
+    specs = {}
+    for check in checks:
+        if check in ("refined_chain", "reverse_difference") and "am-gm-bridge" not in mats:
+            mats["am-gm-bridge"] = (
+                am_d - gm_d - bridge_d, am_d + gm_d + bridge_size, None, ("am", "gm"),
+                lambda o, p, j: o["am"] - o["gm"] - two_r_bridge(p, j),
+            )
+        if check == "refined_chain":
+            def ctx_msg(p, j):
+                return f"check refined_chain instance ({label(p)}, nu={nus[p, j]})"
 
-    _require_finite(check, margins, nus, label)
-    return margins, rel_tol * frame["scale"][:, None]
+            # the refined HM is W diag(1/d) W^T with d = t^-nu + r (1 - t^-1/2)^2;
+            # _inverse4 reads (P, J, n) views of the diagonals
+            inv_t = _inverse4(t[:, None], lambda p, j: f"check refined_chain instance ({label(p)})")
+            inv_t_i = inv_t[:, 0].T[:, :, None]
+            rhm_d = _inverse4(
+                (inv_t_i ** nus + r * (1.0 - np.sqrt(inv_t_i)) ** 2).transpose(1, 2, 0), ctx_msg
+            ).transpose(2, 0, 1)
+            hm_d = _harmonic_diag(t_i, nus)
+            mats["gm-rhm"] = (gm_d - rhm_d, gm_d + rhm_d, None, ("gm", "rhm"),
+                              lambda o, p, j: o["gm"] - o["rhm"])
+            mats["rhm-hm"] = (rhm_d - hm_d, rhm_d + hm_d, None, ("rhm", "hm"),
+                              lambda o, p, j: o["rhm"] - o["hm"])
+            mats["am-gm"] = (am_d - gm_d, am_d + gm_d, None, ("am", "gm"),
+                             lambda o, p, j: o["am"] - o["gm"])
+            specs[check] = [
+                ("am_vs_refined_gm", "am-gm-bridge", False, None),
+                ("refined_gm_vs_gm", 2.0 * r * _eigvals_min_stack(bridge)[:, None]),
+                ("gm_vs_refined_hm", "gm-rhm", False, None),
+                ("refined_hm_vs_hm", "rhm-hm", False, None),
+                ("am_vs_gm", "am-gm", False, None),
+            ]
+        elif check == "reverse_ratio":
+            mats["ratio"] = (
+                s_root[:, None] * gm_d - am_d + bridge_d,
+                s_root[:, None] * gm_d + am_d + bridge_size, None, ("am", "gm"),
+                lambda o, p, j: s_root[p][:, None, None] * o["gm"] - (o["am"] - two_r_bridge(p, j)),
+            )
+            specs[check] = [("reverse_ratio", "ratio", False, None)]
+        elif check == "reverse_difference":
+            root_h = np.sqrt(h)
+            log_s = np.log(s_root)
+            c_global = h * np.sqrt(big_m) * log_mean(np.sqrt(big_m), np.sqrt(m)) * log_s
+            c_tight = root_h * log_mean(root_h, 1.0) * log_s * frame["top_a"]
+            specs[check] = [
+                ("reverse_difference", "am-gm-bridge", True, c_global),
+                ("reverse_difference_tight", "am-gm-bridge", True, c_tight),
+            ]
+        elif check == "baseline_reverses":
+            s_full = specht_ratio(h)
+            diff_const = h * log_mean(m, big_m) * np.log(s_full)
+            eye = np.eye(a.shape[-1])
+            mats["baseline-ratio"] = (
+                s_full[:, None] * gm_d - am_d, s_full[:, None] * gm_d + am_d, None, ("am", "gm"),
+                lambda o, p, j: s_full[p][:, None, None] * o["gm"] - o["am"],
+            )
+            mats["baseline-difference"] = (
+                gm_d - am_d, gm_d + am_d, diff_const[:, None], ("am", "gm"),
+                lambda o, p, j: diff_const[p][:, None, None] * eye + o["gm"] - o["am"],
+            )
+            specs[check] = [
+                ("baseline_ratio", "baseline-ratio", False, None),
+                ("baseline_difference", "baseline-difference", False, None),
+            ]
+        elif check != "refined_chain":  # pragma: no cover - guarded by config validation
+            raise ValueError(f"not a pair check: {check}")
+
+    keys = list(mats)
+    screened = [spec for check_specs in specs.values() for spec in check_specs if len(spec) == 4]
+    name_k = np.array([keys.index(key) for _, key, _, _ in screened])
+    name_lo, key_need = _screen(
+        [mats[key][:3] for key in keys], [(k,) + spec[2:] for k, spec in zip(name_k, screened)],
+        frame, t_i, tols,
+    )
+
+    # the operands on every row that some matrix needs, then each matrix
+    # there, kept where it is needed
+    rows = np.flatnonzero(key_need.any(axis=0))
+    kept = key_need[:, rows]
+    counts = kept.sum(axis=1).tolist()
+    p, j = np.divmod(rows, j_count)
+    nu_rows = nus[p, j][:, None]
+    w_rows = w[p]
+    formers = {
+        "am": lambda: _arithmetic_stack(a[p], b[p], nu_rows)[:, 0],
+        "gm": lambda: _geometric_stacks(w_rows, t[p], nu_rows)[:, 0],
+        "rhm": lambda: _sym(_recon(w_rows, rhm_d[:, p, j].T)),
+        "hm": lambda: _harmonic_stack(w_rows, t[p], nu_rows)[:, 0],
+    }
+    used = dict.fromkeys(op for key, count in zip(keys, counts) if count for op in mats[key][3])
+    ops = {op: formers[op]() for op in used}
+    stack = np.concatenate(
+        [mats[key][4](ops, p, j)[kept[k]] for k, key in enumerate(keys) if counts[k]]
+        or [np.empty((0,) + a.shape[1:])]
+    )
+
+    # one eigensolve; a matrix with a non-finite entry gets NaN margins
+    try:
+        lam = _eigvals_stack(stack)[:, [0, -1]]
+    except NumericalError:
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if finite.all():
+            raise
+        lam = np.full((len(stack), 2), np.nan)
+        if finite.any():
+            lam[finite] = _eigvals_stack(stack[finite])[:, [0, -1]]
+    starts = np.cumsum([0] + counts).tolist()
+
+    # each screened margin: solved where kept, its lower bound elsewhere
+    values = name_lo.reshape(len(screened), -1)
+    for i, (_, _, largest, c) in enumerate(screened):
+        k = name_k[i]
+        ends = lam[starts[k]:starts[k + 1], int(largest)]
+        values[i, rows[kept[k]]] = ends if c is None else c[p[kept[k]]] - ends
+    screened_values = iter(name_lo)
+    result = {
+        check: ({spec[0]: next(screened_values) if len(spec) == 4 else spec[1] for spec in check_specs}, tols)
+        for check, check_specs in specs.items()
+    }
+    exact = [spec[1] for check_specs in specs.values() for spec in check_specs if len(spec) == 2]
+    if not (np.isfinite(values).all() and all(np.isfinite(e).all() for e in exact)):
+        for check, (margins, _) in result.items():
+            _require_finite(check, margins, nus, label)
+    return result
 
 
 def _hm_margins(lam, q, x, nus, label):
@@ -518,10 +700,9 @@ def _check_pair(check, pair, nu, rel_tol, seed, index):
         return f"index={index}, dim={pair.n}"
 
     frame = _pair_frame(pair, f"check {check}", label)
-    margins, tols = _pair_margins(
-        check, frame, _geometric_stacks(frame, nus), np.array([pair.m]),
-        np.array([pair.big_m]), nus, rel_tol, label,
-    )
+    (margins, tols), = _pair_margins(
+        (check,), frame, np.array([pair.m]), np.array([pair.big_m]), nus, rel_tol, label
+    ).values()
     return _result(check, pair.n, nu, margins, frame["scale"][0], tols, seed, index)
 
 
@@ -554,7 +735,7 @@ def check_hm_refined(a: SymMatrix, x: UnitVector, nu, seed=None, index=None) -> 
     nu = _require_nu(nu)
     if a.n != x.n:
         raise ValueError(f"dimension mismatch: matrix {a.n} vs vector {x.n}")
-    lam, q = _eigh_stack(a.entries[None])
+    lam, q = _eigvecs_stack(a.entries[None])
     if lam[0, 0] <= 0.0:
         raise ValueError("matrix must be positive definite")
     margins, tols = _hm_margins(
@@ -591,9 +772,7 @@ def _eval_pair_chunk(cfg, check, dim, indices):
     m_hat = frame["m_hat"]
     big_m_hat = frame["scale"]
     nus = _nu_table(cfg.nu_grid, big_m_hat / m_hat)
-    margins, tols = _pair_margins(
-        check, frame, _geometric_stacks(frame, nus), m_hat, big_m_hat, nus, cfg.rel_tol, label
-    )
+    margins, tols = _pair_margins((check,), frame, m_hat, big_m_hat, nus, cfg.rel_tol, label)[check]
     return nus, margins, tols
 
 
@@ -607,7 +786,7 @@ def _eval_hm_chunk(cfg, dim, indices):
         interior.append(u)
         gauss.append(g)
         vecs.append(gen_unit_vector(dim, rng).coords)
-    lam, q = _eigh_stack(_spd_from_draws(np.stack(interior), np.stack(gauss), cfg.m, cfg.big_m))
+    lam, q = _eigvecs_stack(_spd_from_draws(np.stack(interior), np.stack(gauss), cfg.m, cfg.big_m))
     if lam[:, 0].min() <= 0.0:
         raise SingularMatrixError("generated matrix is not positive definite")
     nus = _nu_table(cfg.nu_grid, lam[:, -1] / lam[:, 0])
@@ -678,13 +857,12 @@ def run_pair(pair: SpdPair, nu_grid=DEFAULT_NU_GRID, rel_tol=DEFAULT_REL_TOL):
         return f"pair, dim={pair.n}"
 
     frame = _pair_frame(pair, "pair checks", label)
-    means = _geometric_stacks(frame, nus)
+    by_check = _pair_margins(
+        PAIR_CHECK_NAMES, frame, np.array([pair.m]), np.array([pair.big_m]), nus, rel_tol, label
+    )
     aggregates = []
-    for check in PAIR_CHECK_NAMES:
+    for check, (margins, tols) in by_check.items():
         acc = _Accumulator(check)
-        margins, tols = _pair_margins(
-            check, frame, means, np.array([pair.m]), np.array([pair.big_m]), nus, rel_tol, label
-        )
         acc.update(None, (0,), pair.n, nus, margins, tols)
         aggregates.append(acc.finish())
     return tuple(aggregates)

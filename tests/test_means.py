@@ -180,10 +180,10 @@ def test_public_means_are_views_of_the_verifier_frame():
         a, b = verify._gen_chunk_pairs(cfg, "refined_chain", dim, list(range(24)))
         frame = verify._diagonalize_pairs(a, b, "test", str)
         nus = verify._nu_table(cfg.nu_grid, frame["scale"] / frame["m_hat"])
-        gm, gm_half = verify._geometric_stacks(frame, nus)
-        inv_t = verify._inverse4(frame["t"][:, None], str)
-        hm = means._harmonic_stack(frame, inv_t, nus, str)
-        bridge = means._bridge(frame, gm_half)
+        gm = verify._geometric_stacks(frame["w"], frame["t"], nus)
+        hm = means._harmonic_stack(frame["w"], frame["t"], nus)
+        gm_half = verify._geometric_stacks(frame["w"], frame["t"], np.full((len(a), 1), 0.5))
+        bridge = means._bridge(frame, gm_half[:, 0])
         for p in range(len(a)):
             pair = SpdPair.from_matrices(SymMatrix._wrap(a[p]), SymMatrix._wrap(b[p]))
             assert np.array_equal(refinement_bridge(pair).entries, bridge[p])

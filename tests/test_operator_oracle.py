@@ -178,7 +178,7 @@ def test_public_means_match_high_precision_oracle_at_large_h(dim, h):
         pair = gen_spd_pair(dim, 1.0, h, np.random.default_rng(seed))
         a = to_mp(pair.a.entries)
         b = to_mp(pair.b.entries)
-        for nu in (0.3, 0.5):
+        for nu in (0.3, 0.5, 1.0):
             nu_mp = mp.mpf(nu)
             gm_err = mp_rel_error(weighted_geometric(pair, nu).entries, mp_geometric(a, b, nu_mp))
             hm_err = mp_rel_error(weighted_harmonic(pair, nu).entries, mp_harmonic(a, b, nu_mp))

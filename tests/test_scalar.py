@@ -329,6 +329,22 @@ def test_critical_weights_reject_degenerate():
             fn(-2.0)
 
 
+def test_critical_weights_are_elementwise():
+    b = np.array([[0.1, 0.5], [4.0, 1e8]])
+    for fn in (scalar.critical_nu_ratio, scalar.critical_nu_diff):
+        got = fn(b)
+        assert got.shape == b.shape
+        assert got.ravel().tolist() == [fn(float(x)) for x in b.ravel()]
+        assert type(fn(4.0)) is float
+        # one bad entry refuses the whole array
+        for bad in ([2.0, 1.0], [2.0, -1.0], [2.0, np.nan], [2.0, np.inf], [0.0]):
+            with pytest.raises(ValueError):
+                fn(np.array(bad))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="strictly positive"):
+                fn(bad)
+
+
 @pytest.mark.parametrize("b", [0.1, 0.5, 2.0, 4.0, 10.0, 100.0])
 def test_critical_weight_max_value_identities(b):
     nu_r = scalar.critical_nu_ratio(b)

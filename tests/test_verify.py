@@ -17,6 +17,7 @@ from opmeans.scalar import (
 from opmeans import matrices, means, verify
 from opmeans.verify import (
     CHECK_NAMES,
+    DEFAULT_NU_GRID,
     SuiteConfig,
     UnitVector,
     augmented_nu_grid,
@@ -169,6 +170,28 @@ def test_unit_vector_validation():
     v = gen_unit_vector(5, np.random.default_rng(1))
     assert abs(np.linalg.norm(v.coords) - 1.0) <= 1e-12
     assert v.n == 5
+
+
+def test_nu_table_matches_per_instance_grids_bit_for_bit():
+    # one elementwise pass over a chunk's condition ratios gives the table
+    # that the scalar critical weights give instance by instance
+    def per_instance(base, h):
+        extra = (0.5, 0.5) if h == 1.0 else (
+            min(max(verify.critical_nu_ratio(h), 0.0), 1.0),
+            min(max(verify.critical_nu_diff(h), 0.0), 1.0),
+        )
+        return tuple(base) + extra
+
+    frame_h = []
+    for dim in (2, 3, 4, 8):
+        a, b = verify._gen_chunk_pairs(SuiteConfig(), "reverse_ratio", dim, list(range(64)))
+        frame = verify._diagonalize_pairs(a, b, "test", str)
+        frame_h.extend(frame["scale"] / frame["m_hat"])
+    hs = np.array(frame_h + [1.0, 1.0 + 1e-15, 1.5, 1e4, 1e8, 1e10, 0.5, 1e-3])
+    want = np.array([per_instance(DEFAULT_NU_GRID, float(h)) for h in hs])
+    got = verify._nu_table(DEFAULT_NU_GRID, hs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert augmented_nu_grid((0.1,), 4.0) == per_instance((0.1,), 4.0)
 
 
 def test_augmented_grid_has_two_extra_points():
@@ -630,22 +653,122 @@ def test_margin_stacks_are_exactly_symmetric(monkeypatch):
     real = matrices._eigvals_stack
     sizes = []
 
-    def symmetric_only(stack):
-        assert np.array_equal(stack, stack.transpose(0, 2, 1))
-        sizes.append(len(stack))
+    def symmetric_only(module):
+        def solve(stack):
+            assert np.array_equal(stack, stack.transpose(0, 2, 1))
+            sizes.append((module.__name__, len(stack)))
+            return real(stack)
+
+        return solve
+
+    for module in (matrices, means, verify):
+        monkeypatch.setattr(module, "_eigvals_stack", symmetric_only(module))
+    # the margin matrices that the screen keeps reach LAPACK through verify,
+    # in every pair check
+    for check in verify.PAIR_CHECK_NAMES:
+        sizes.clear()
+        run_suite(SuiteConfig(checks=(check,)))
+        margin_sizes = [size for name, size in sizes if name == verify.__name__]
+        assert len(margin_sizes) == 16 and min(margin_sizes) > 0, check
+    run_suite(SuiteConfig(trials=64, dims=(12,), big_m=1e8))
+    verify.run_pair(gen_spd_pair(4, 1.0, 10.0, rng_for(0, "refined_chain", 0)))
+    assert sizes[-1][0] == verify.__name__ and sizes[-1][1] > 0
+
+
+def test_screen_sends_few_margin_matrices_to_lapack(monkeypatch):
+    # a deterministic guard on the screen: solving every margin of the
+    # default suite sends 193,000 matrices to LAPACK (frames and bridges
+    # included); the screen keeps 45,947
+    real = matrices._eigvals_stack
+    solved = [0]
+
+    def counting(stack):
+        solved[0] += len(stack)
         return real(stack)
 
     for module in (matrices, means, verify):
-        monkeypatch.setattr(module, "_eigvals_stack", symmetric_only)
+        monkeypatch.setattr(module, "_eigvals_stack", counting)
     run_suite(SuiteConfig())
-    run_suite(SuiteConfig(trials=64, dims=(12,), big_m=1e8))
-    verify.run_pair(gen_spd_pair(4, 1.0, 10.0, rng_for(0, "refined_chain", 0)))
-    assert len(sizes) > 200 and max(sizes) >= 64 * 23
+    assert solved[0] <= 0.35 * 193_000
+
+
+def _exhaustive(monkeypatch, seen=None):
+    """Make the screen keep every margin; seen collects its (lo, hi) bounds."""
+    def every_margin(lo, hi, tols):
+        if seen is not None:
+            seen.append((lo.copy(), hi.copy()))
+        return np.ones(lo.shape, dtype=bool)
+
+    monkeypatch.setattr(verify, "_candidates", every_margin)
+
+
+@pytest.mark.parametrize("h", [10.0, 1e4, 1e6, 1e8, 1e10])
+def test_screen_bounds_hold_every_margin(monkeypatch, h):
+    # every margin, solved, lies in the bounds that the screen read off the
+    # frame diagonals; refined_chain is refused from h = 1e8 (see above)
+    seen = []
+    _exhaustive(monkeypatch, seen)
+    checks = verify.PAIR_CHECK_NAMES if h < 1e8 else verify.PAIR_CHECK_NAMES[1:]
+    for dim in (2, 3, 4, 8, 12):
+        cfg = SuiteConfig(big_m=h, dims=(dim,)).validate()
+        for check in checks:
+            seen.clear()
+            _, margins, _ = verify._eval_pair_chunk(cfg, check, dim, list(range(64)))
+            screened = [name for name in margins if name != "refined_gm_vs_gm"]
+            (lo, hi), = seen
+            assert len(lo) == len(screened)
+            for name, name_lo, name_hi in zip(screened, lo, hi):
+                value = margins[name]
+                assert (name_lo <= value).all() and (value <= name_hi).all(), (dim, check, name)
+
+
+def _body(report):
+    doc = report.to_json_dict()
+    del doc["runtime_seconds"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SuiteConfig(checks=verify.PAIR_CHECK_NAMES),
+        SuiteConfig(seed=7, checks=verify.PAIR_CHECK_NAMES),
+        SuiteConfig(trials=64, dims=(12,), checks=verify.PAIR_CHECK_NAMES),
+        *(SuiteConfig(trials=200, big_m=h) for h in (1e2, 1e4, 1e6, 1e8, 1e10)),
+    ],
+    ids=["default", "seed-7", "n-12", "h-1e2", "h-1e4", "h-1e6", "h-1e8", "h-1e10"],
+)
+def test_screened_suite_matches_solving_every_margin(monkeypatch, cfg):
+    # a margin the screen does not solve is reported as its lower bound, which
+    # is above its name's worst and -tol: the report body is that of solving
+    # every margin matrix, bit for bit
+    screened = _body(run_suite(cfg))
+    _exhaustive(monkeypatch)
+    assert screened == _body(run_suite(cfg))
+
+
+def test_non_finite_screen_bound_names_the_instance(monkeypatch):
+    # a NaN Specht ratio at instance 5 makes its bounds and its margin
+    # matrices NaN: they are kept, and the margin check names the instance
+    real = verify.specht_ratio
+
+    def nan_at_fifth(h):
+        s = np.array(real(h), dtype=float)
+        s[5] = np.nan
+        return s
+
+    monkeypatch.setattr(verify, "specht_ratio", nan_at_fifth)
+    report = run_suite(SuiteConfig(trials=32, dims=(3,), checks=("reverse_ratio",)))
+    assert [e["message"] for e in report.errors] == [
+        "non-finite margin reverse_ratio in check reverse_ratio instance "
+        "(seed=0, index=5, dim=3, nu=0.0)"
+    ]
 
 
 def test_pair_frames_make_one_svd_and_no_vector_eigensolve(monkeypatch):
     # the frame's vectors come from the SVD of G = L_A^-1 L_B, and A and B
-    # get only their extreme eigenvalues: Jacobi serves the state vectors alone
+    # get only their extreme eigenvalues: LAPACK's eigh serves the state
+    # vectors alone, and the verifier makes no Jacobi solve
     cfg = SuiteConfig(trials=8, dims=(3,)).validate()
     pair = gen_spd_pair(3, 1.0, 10.0, rng_for(0, "refined_chain", 0))
     calls = []
@@ -657,7 +780,9 @@ def test_pair_frames_make_one_svd_and_no_vector_eigensolve(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(verify, "_eigh_stack", counting("jacobi", verify._eigh_stack))
+    for module in (matrices, verify):
+        monkeypatch.setattr(module, "_eigh_stack", counting("jacobi", module._eigh_stack))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     for check in verify.PAIR_CHECK_NAMES:
         verify._eval_pair_chunk(cfg, check, 3, list(range(8)))
@@ -667,7 +792,7 @@ def test_pair_frames_make_one_svd_and_no_vector_eigensolve(monkeypatch):
     assert calls == [("svd", 1)]
     calls.clear()
     verify._eval_hm_chunk(cfg, 3, list(range(8)))
-    assert calls == [("jacobi", 8)]
+    assert calls == [("eigh", 8)]
 
 
 @pytest.mark.parametrize("h", [1e2, 1e6, 1e8, 1e10])
