@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -391,6 +392,12 @@ class _Accumulator:
         )
 
 
+# A margin matrix of _pair_margins: W diag(d) W^T + shift I in the frame, up
+# to roundoff, with d (n, P, J) and size the sums of the magnitudes of the
+# terms of d; shift is (P, 1) or None.  form(ops, p, j) builds the matrices
+# at table rows (p, j) from the named operands there.
+_MarginMatrix = namedtuple("_MarginMatrix", "d size shift operands form")
+
 # The screen's slack per unit of dimension and of operand size.  By Weyl's
 # theorem it must cover the frame residuals that _diagonalize_pairs is held
 # to (A = W W^T within 8 n eps ||A||, B = W diag(t) W^T within
@@ -430,28 +437,26 @@ def _candidates(lo, hi, tols):
 
 def _screen(mats, names, frame, t, tols):
     """Lower bounds (N, P, J) on N eigenvalue margins, and the mask (K, P * J)
-    of the table rows where each of K margin matrices must be solved.
+    of the table rows where each of K _MarginMatrix must be solved.
 
-    mats holds (d, size, shift) per matrix: its frame diagonals d and the
-    sums of the magnitudes of their terms (n, P, J), and c (P, 1) in
-    W diag(d) W^T + c I, or None.  names holds (k, largest, c) per margin:
-    lambda_min of matrix k, or c (P,) - lambda_max if largest.  t is (n, P, 1)
-    and tols (P, 1).  The bounds of _eig_bracket are widened by
-    8 n eps ((1 + sqrt(h)) ||A|| max_i size_i + |c|), and a row is needed
-    where some margin on it is one of the _candidates.
+    names holds (k, largest, c) per margin: lambda_min of matrix k, or
+    c (P,) - lambda_max if largest.  t is (n, P, 1) and tols (P, 1).  The
+    bounds of _eig_bracket are widened by
+    8 n eps ((1 + sqrt(h)) ||A|| max_i size_i + |shift| + |c|), and a row is
+    needed where some margin on it is one of the _candidates.
     """
     k_count = len(mats)
-    _, p_count, j_count = mats[0][0].shape
+    _, p_count, j_count = mats[0].d.shape
     unit = _SCREEN_SLACK * len(t)
     h = frame["scale"] / frame["m_hat"]
     widen = unit * frame["top"]
     widen[1] *= np.sqrt(h)
-    lo, hi = _eig_bracket(np.stack([d for d, _, _ in mats]), t, frame["low"] - widen, frame["top"] + widen)
+    lo, hi = _eig_bracket(np.stack([mat.d for mat in mats]), t, frame["low"] - widen, frame["top"] + widen)
     shift = np.zeros((k_count, p_count, 1))
-    for k, (_, _, c) in enumerate(mats):
-        if c is not None:
-            shift[k] = c
-    size = np.maximum.reduce(np.stack([size for _, size, _ in mats]), axis=1)
+    for k, mat in enumerate(mats):
+        if mat.shift is not None:
+            shift[k] = mat.shift
+    size = np.maximum.reduce(np.stack([mat.size for mat in mats]), axis=1)
     slack = (unit * (1.0 + np.sqrt(h)) * frame["top_a"])[:, None] * size + unit * np.abs(shift)
     lo = lo - slack + shift
     hi = hi + slack + shift
@@ -508,16 +513,14 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
     def two_r_bridge(p, j):
         return 2.0 * r[p, j][:, None, None] * bridge[p]
 
-    # margin matrices: key -> (d, size of d's terms, shift c or None,
-    # operands, form), where form(ops, p, j) builds the matrices at table
-    # rows (p, j) from the operands there
+    # key -> _MarginMatrix
     mats = {}
     # check -> [(name, key, largest, c)]: lambda_min of the key's matrix, or
     # c - lambda_max if largest; or [(name, the exact (P, J) margins)]
     specs = {}
     for check in checks:
         if check in ("refined_chain", "reverse_difference") and "am-gm-bridge" not in mats:
-            mats["am-gm-bridge"] = (
+            mats["am-gm-bridge"] = _MarginMatrix(
                 am_d - gm_d - bridge_d, am_d + gm_d + bridge_size, None, ("am", "gm"),
                 lambda o, p, j: o["am"] - o["gm"] - two_r_bridge(p, j),
             )
@@ -533,12 +536,12 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
                 (inv_t_i ** nus + r * (1.0 - np.sqrt(inv_t_i)) ** 2).transpose(1, 2, 0), ctx_msg
             ).transpose(2, 0, 1)
             hm_d = _harmonic_diag(t_i, nus)
-            mats["gm-rhm"] = (gm_d - rhm_d, gm_d + rhm_d, None, ("gm", "rhm"),
-                              lambda o, p, j: o["gm"] - o["rhm"])
-            mats["rhm-hm"] = (rhm_d - hm_d, rhm_d + hm_d, None, ("rhm", "hm"),
-                              lambda o, p, j: o["rhm"] - o["hm"])
-            mats["am-gm"] = (am_d - gm_d, am_d + gm_d, None, ("am", "gm"),
-                             lambda o, p, j: o["am"] - o["gm"])
+            mats["gm-rhm"] = _MarginMatrix(gm_d - rhm_d, gm_d + rhm_d, None, ("gm", "rhm"),
+                                           lambda o, p, j: o["gm"] - o["rhm"])
+            mats["rhm-hm"] = _MarginMatrix(rhm_d - hm_d, rhm_d + hm_d, None, ("rhm", "hm"),
+                                           lambda o, p, j: o["rhm"] - o["hm"])
+            mats["am-gm"] = _MarginMatrix(am_d - gm_d, am_d + gm_d, None, ("am", "gm"),
+                                          lambda o, p, j: o["am"] - o["gm"])
             specs[check] = [
                 ("am_vs_refined_gm", "am-gm-bridge", False, None),
                 ("refined_gm_vs_gm", 2.0 * r * _eigvals_min_stack(bridge)[:, None]),
@@ -547,7 +550,7 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
                 ("am_vs_gm", "am-gm", False, None),
             ]
         elif check == "reverse_ratio":
-            mats["ratio"] = (
+            mats["ratio"] = _MarginMatrix(
                 s_root[:, None] * gm_d - am_d + bridge_d,
                 s_root[:, None] * gm_d + am_d + bridge_size, None, ("am", "gm"),
                 lambda o, p, j: s_root[p][:, None, None] * o["gm"] - (o["am"] - two_r_bridge(p, j)),
@@ -566,11 +569,11 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
             s_full = specht_ratio(h)
             diff_const = h * log_mean(m, big_m) * np.log(s_full)
             eye = np.eye(a.shape[-1])
-            mats["baseline-ratio"] = (
+            mats["baseline-ratio"] = _MarginMatrix(
                 s_full[:, None] * gm_d - am_d, s_full[:, None] * gm_d + am_d, None, ("am", "gm"),
                 lambda o, p, j: s_full[p][:, None, None] * o["gm"] - o["am"],
             )
-            mats["baseline-difference"] = (
+            mats["baseline-difference"] = _MarginMatrix(
                 gm_d - am_d, gm_d + am_d, diff_const[:, None], ("am", "gm"),
                 lambda o, p, j: diff_const[p][:, None, None] * eye + o["gm"] - o["am"],
             )
@@ -585,7 +588,7 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
     screened = [spec for check_specs in specs.values() for spec in check_specs if len(spec) == 4]
     name_k = np.array([keys.index(key) for _, key, _, _ in screened])
     name_lo, key_need = _screen(
-        [mats[key][:3] for key in keys], [(k,) + spec[2:] for k, spec in zip(name_k, screened)],
+        [mats[key] for key in keys], [(k,) + spec[2:] for k, spec in zip(name_k, screened)],
         frame, t_i, tols,
     )
 
@@ -603,10 +606,10 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
         "rhm": lambda: _sym(_recon(w_rows, rhm_d[:, p, j].T)),
         "hm": lambda: _harmonic_stack(w_rows, t[p], nu_rows)[:, 0],
     }
-    used = dict.fromkeys(op for key, count in zip(keys, counts) if count for op in mats[key][3])
+    used = dict.fromkeys(op for key, count in zip(keys, counts) if count for op in mats[key].operands)
     ops = {op: formers[op]() for op in used}
     stack = np.concatenate(
-        [mats[key][4](ops, p, j)[kept[k]] for k, key in enumerate(keys) if counts[k]]
+        [mats[key].form(ops, p, j)[kept[k]] for k, key in enumerate(keys) if counts[k]]
         or [np.empty((0,) + a.shape[1:])]
     )
 
