@@ -207,7 +207,9 @@ def _pair_frame(pair, where, label=None):
 def _arithmetic_stack(a, b, nus):
     """AM stack (P, J, n, n): (1 - nu) A + nu B for a (P, n, n) pair stack."""
     w = nus[:, :, None, None]
-    return (1.0 - w) * a[:, None] + w * b[:, None]
+    am = (1.0 - w) * a[:, None]
+    am += w * b[:, None]
+    return am
 
 
 def _geometric_stacks(w, t, nus):

@@ -599,19 +599,20 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
     counts = kept.sum(axis=1).tolist()
     p, j = np.divmod(rows, j_count)
     nu_rows = nus[p, j][:, None]
-    w_rows = w[p]
     formers = {
         "am": lambda: _arithmetic_stack(a[p], b[p], nu_rows)[:, 0],
-        "gm": lambda: _geometric_stacks(w_rows, t[p], nu_rows)[:, 0],
-        "rhm": lambda: _sym(_recon(w_rows, rhm_d[:, p, j].T)),
-        "hm": lambda: _harmonic_stack(w_rows, t[p], nu_rows)[:, 0],
+        "gm": lambda: _geometric_stacks(w[p], t[p], nu_rows)[:, 0],
+        "rhm": lambda: _sym(_recon(w[p], rhm_d[:, p, j].T)),
+        "hm": lambda: _harmonic_stack(w[p], t[p], nu_rows)[:, 0],
     }
     used = dict.fromkeys(op for key, count in zip(keys, counts) if count for op in mats[key].operands)
     ops = {op: formers[op]() for op in used}
-    stack = np.concatenate(
-        [mats[key].form(ops, p, j)[kept[k]] for k, key in enumerate(keys) if counts[k]]
-        or [np.empty((0,) + a.shape[1:])]
-    )
+    starts = np.cumsum([0] + counts).tolist()
+    stack = np.empty((starts[-1],) + a.shape[1:])
+    for k, key in enumerate(keys):
+        if counts[k]:
+            np.compress(kept[k], mats[key].form(ops, p, j), axis=0, out=stack[starts[k]:starts[k + 1]])
+    del ops
 
     # one eigensolve; a matrix with a non-finite entry gets NaN margins
     try:
@@ -623,7 +624,6 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
         lam = np.full((len(stack), 2), np.nan)
         if finite.any():
             lam[finite] = _eigvals_stack(stack[finite])[:, [0, -1]]
-    starts = np.cumsum([0] + counts).tolist()
 
     # each screened margin: solved where kept, its lower bound elsewhere
     values = name_lo.reshape(len(screened), -1)
