@@ -402,7 +402,8 @@ _MarginMatrix = namedtuple("_MarginMatrix", "d size shift operands form")
 # theorem it must cover the frame residuals that _diagonalize_pairs is held
 # to (A = W W^T within 8 n eps ||A||, B = W diag(t) W^T within
 # 8 n eps sqrt(h) ||B||), the roundoff of forming a margin matrix and
-# LAPACK's backward error, both smaller than the residual of A.
+# LAPACK's backward error; tests/test_verify.py checks that every solved
+# margin stays inside the widened bounds from h = 10 to 1e10.
 _SCREEN_SLACK = 8.0 * np.finfo(float).eps
 
 
