@@ -613,7 +613,7 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
     for k, key in enumerate(keys):
         if counts[k]:
             np.compress(kept[k], mats[key].form(ops, p, j), axis=0, out=stack[starts[k]:starts[k + 1]])
-    del ops
+    del ops  # so that the eigensolve's peak memory holds the stack alone
 
     # one eigensolve; a matrix with a non-finite entry gets NaN margins
     try:
