@@ -7,7 +7,14 @@ do not depend on the weight nu (Specht's ratio, the logarithmic means and
 their logarithms) are computed once per scan on the broadcast (a, b) axes,
 then combined at each weight in turn.  :func:`scan_quantity` runs the same
 two parts at one point, so recorded witnesses can be re-evaluated through the
-same operations; reports are self-verifying.
+same operations; reports are self-verifying.  The conjecture scan, like the
+sign-change scans, runs on the broadcast axes and masks the points with
+a == b by value, so it never forms a meshgrid.
+
+The maximizers are checked by :func:`golden_section_max`, which searches an
+array of intervals in lockstep: :func:`verify_extremizers` runs the three
+searches of every sample b as one pass, with one evaluation of each
+objective per step on the whole table.
 """
 
 from __future__ import annotations
@@ -334,35 +341,36 @@ def conjecture_scan(grid: GridSpec = GridSpec()) -> ExplorationReport:
     """
     grid.validate()
     a_axis, b_axis = grid.axes()
-    a_mesh, b_mesh = np.meshgrid(a_axis, b_axis, indexing="ij")
-    mask = a_mesh != b_mesh
-    a_flat = a_mesh[mask]
-    b_flat = b_mesh[mask]
-    factors = _scan_factors("conjecture", a_flat, b_flat)
+    a, b = a_axis[:, None], b_axis[None, :]
+    off = a != b
+    factors = _scan_factors("conjecture", a, b)
     (vals,) = _at_weights("conjecture", factors, (None,))
 
     mean, log_specht, half_mean, half_log_specht = factors[:4]
-    comp_tol = _COMPONENT_TOL_REL * (a_flat + b_flat)
+    comp_tol = _COMPONENT_TOL_REL * (a + b)
     comp_means = half_mean - mean
     comp_specht = log_specht - half_log_specht
-    violations = int((comp_means < -comp_tol).sum() + (comp_specht < -comp_tol).sum())
+    violations = int(((comp_means < -comp_tol) & off).sum() + ((comp_specht < -comp_tol) & off).sum())
 
-    lo_idx = int(np.argmin(vals))
-    hi_idx = int(np.argmax(vals))
-    negatives = int((vals < 0.0).sum())
+    # The diagonal is filled so that it never wins: argmin and argmax then
+    # pick the first extreme off-diagonal point in row-major order.
+    lo_i, lo_j = np.unravel_index(np.argmin(np.where(off, vals, np.inf)), vals.shape)
+    hi_i, hi_j = np.unravel_index(np.argmax(np.where(off, vals, -np.inf)), vals.shape)
+    negative = (vals < 0.0) & off
+    negatives = int(negative.sum())
     neg_wit = None
     if negatives:
-        first_neg = int(np.argmax(vals < 0.0))
-        neg_wit = _witness(a_flat[first_neg], b_flat[first_neg], None, vals[first_neg])
+        neg_i, neg_j = np.unravel_index(np.argmax(negative), vals.shape)
+        neg_wit = _witness(a_axis[neg_i], b_axis[neg_j], None, vals[neg_i, neg_j])
     return ExplorationReport(
         name="conjecture",
-        points=int(vals.size),
-        min_value=float(vals[lo_idx]),
-        min_at=_witness(a_flat[lo_idx], b_flat[lo_idx], None, vals[lo_idx]),
-        max_value=float(vals[hi_idx]),
-        max_at=_witness(a_flat[hi_idx], b_flat[hi_idx], None, vals[hi_idx]),
+        points=int(off.sum()),
+        min_value=float(vals[lo_i, lo_j]),
+        min_at=_witness(a_axis[lo_i], b_axis[lo_j], None, vals[lo_i, lo_j]),
+        max_value=float(vals[hi_i, hi_j]),
+        max_at=_witness(a_axis[hi_i], b_axis[hi_j], None, vals[hi_i, hi_j]),
         negatives=negatives,
-        positives=int((vals > 0.0).sum()),
+        positives=int(((vals > 0.0) & off).sum()),
         violations=violations,
         negative_witness=neg_wit,
         positive_witness=None,
@@ -370,22 +378,40 @@ def conjecture_scan(grid: GridSpec = GridSpec()) -> ExplorationReport:
 
 
 def golden_section_max(fn, lo, hi, tol=1e-10):
-    """Deterministic golden-section maximizer of a unimodal function on [lo, hi]."""
+    """Deterministic golden-section maximizer of a unimodal function on [lo, hi].
+
+    ``lo`` and ``hi`` may be arrays (they broadcast against each other); every
+    interval is then searched in lockstep.  Each step makes one call of ``fn``
+    on an array of probes, one per interval, so ``fn`` must be elementwise.
+    An interval takes exactly the steps it would take alone: it stops once
+    its width is at most ``tol``, after which its probes are still passed to
+    ``fn`` but their values are ignored.  Every interval moves by its own
+    comparison ``fc > fd`` (a tie or a NaN moves ``lo`` up), so each returned
+    (argmax, maximum) pair has the bits of a search over that interval alone.
+    Scalar ``lo`` and ``hi`` return scalars.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc = fn(c)
     fd = fn(d)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = fn(d)
+    active = hi - lo > tol
+    while active.any():
+        left = fc > fd  # the maximum lies in [lo, d]
+        to_c = active & left  # d <- c, probe a new c
+        to_d = active & ~left  # c <- d, probe a new d
+        hi = np.where(to_c, d, hi)
+        lo = np.where(to_d, c, lo)
+        probe = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        fp = fn(probe)
+        c, d = np.where(to_c, probe, np.where(to_d, d, c)), np.where(to_c, c, np.where(to_d, probe, d))
+        fc, fd = np.where(to_c, fp, np.where(to_d, fd, fc)), np.where(to_c, fc, np.where(to_d, fp, fd))
+        active = hi - lo > tol
     x = 0.5 * (lo + hi)
     return x, fn(x)
+
+
+_EXTREMIZER_FAMILIES = ("ratio", "difference", "ratio_mirror")
 
 
 def verify_extremizers(b_samples=DEFAULT_EXTREMIZER_SAMPLES, tol=1e-10) -> ExtremizerReport:
@@ -397,57 +423,55 @@ def verify_extremizers(b_samples=DEFAULT_EXTREMIZER_SAMPLES, tol=1e-10) -> Extre
     objective over [0, 1/2] (critical_nu_diff(b), maximum
     L(1, sqrt(b)) ln S(sqrt(b))), and the mirrored ratio objective over
     [1/2, 1] whose maximizer is 1 - critical_nu_ratio(b).
+
+    All 3 * len(b_samples) searches run as one lockstep
+    :func:`golden_section_max` over a (sample, family) table; each step
+    evaluates both objectives once on the whole table.  The closed forms are
+    computed first, so a bad sample raises before any search.
     """
-    rows = []
-    worst_arg = 0.0
-    worst_val = 0.0
-    for b in b_samples:
-        b = float(b)
+    samples = [float(b) for b in b_samples]
+    for b in samples:
         if b <= 0.0 or b == 1.0:
             raise ValueError(f"samples must be positive and != 1, got {b}")
-        families = (
-            (
-                "ratio",
-                lambda nu, b=b: reverse_ratio_objective(b, nu),
-                (0.0, 0.5),
-                critical_nu_ratio(b),
-                specht_ratio(np.sqrt(b)),
-            ),
-            (
-                "difference",
-                lambda nu, b=b: reverse_diff_objective(b, nu),
-                (0.0, 0.5),
-                critical_nu_diff(b),
-                log_mean(1.0, np.sqrt(b)) * np.log(specht_ratio(np.sqrt(b))),
-            ),
-            (
-                "ratio_mirror",
-                lambda nu, b=b: reverse_ratio_objective(b, 1.0 - nu),
-                (0.5, 1.0),
-                1.0 - critical_nu_ratio(b),
-                specht_ratio(np.sqrt(b)),
-            ),
-        )
-        for family, fn, (lo, hi), arg_closed, val_closed in families:
-            arg_num, val_num = golden_section_max(fn, lo, hi, tol=tol)
-            arg_dev = abs(arg_num - arg_closed)
-            val_dev = abs(val_num - val_closed) / abs(val_closed) if val_closed != 0 else abs(val_num)
-            worst_arg = max(worst_arg, arg_dev)
-            worst_val = max(worst_val, val_dev)
-            rows.append(
-                {
-                    "b": b,
-                    "family": family,
-                    "argmax_numeric": float(arg_num),
-                    "argmax_closed_form": float(arg_closed),
-                    "argmax_deviation": float(arg_dev),
-                    "max_numeric": float(val_num),
-                    "max_closed_form": float(val_closed),
-                    "max_rel_deviation": float(val_dev),
-                }
-            )
+        if not math.isfinite(b):
+            break  # critical_nu_ratio refuses it below, before any later sample
+    b = np.array(samples, dtype=float)
+    root = np.sqrt(b)
+    arg_ratio = critical_nu_ratio(b)
+    specht = specht_ratio(root)
+    arg_closed = np.stack([arg_ratio, critical_nu_diff(b), 1.0 - arg_ratio], axis=-1)
+    val_closed = np.stack([specht, log_mean(1.0, root) * np.log(specht), specht], axis=-1)
+
+    column = b[:, None]
+    difference = np.array([False, True, False])
+    mirror = np.array([False, False, True])
+
+    def objectives(nu):
+        ratio = reverse_ratio_objective(column, np.where(mirror, 1.0 - nu, nu))
+        return np.where(difference, reverse_diff_objective(column, nu), ratio)
+
+    lo = np.tile(np.where(mirror, 0.5, 0.0), (len(samples), 1))
+    arg_num, val_num = golden_section_max(objectives, lo, lo + 0.5, tol=tol)
+    arg_dev = np.abs(arg_num - arg_closed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val_dev = np.where(val_closed != 0, np.abs(val_num - val_closed) / np.abs(val_closed), np.abs(val_num))
+
+    rows = [
+        {
+            "b": samples[i],
+            "family": family,
+            "argmax_numeric": float(arg_num[i, k]),
+            "argmax_closed_form": float(arg_closed[i, k]),
+            "argmax_deviation": float(arg_dev[i, k]),
+            "max_numeric": float(val_num[i, k]),
+            "max_closed_form": float(val_closed[i, k]),
+            "max_rel_deviation": float(val_dev[i, k]),
+        }
+        for i in range(len(samples))
+        for k, family in enumerate(_EXTREMIZER_FAMILIES)
+    ]
     return ExtremizerReport(
         rows=tuple(rows),
-        max_argmax_deviation=float(worst_arg),
-        max_value_rel_deviation=float(worst_val),
+        max_argmax_deviation=max([0.0, *(row["argmax_deviation"] for row in rows)]),
+        max_value_rel_deviation=max([0.0, *(row["max_rel_deviation"] for row in rows)]),
     )

@@ -330,6 +330,16 @@ def test_explore_extremizers_table(tmp_path):
     assert ratio_row["max_numeric"] == pytest.approx(1.0614757, rel=1e-6)
 
 
+def test_explore_extremizers_at_large_b(tmp_path):
+    out = tmp_path / "scan.json"
+    code = main(["explore", "--scan", "extremizers", "--b", "1e12,1e16,1e100", "--out", str(out)])
+    assert code == 0
+    scan = read_json(out)["scans"][0]
+    assert len(scan["rows"]) == 9
+    assert scan["max_argmax_deviation"] <= 1e-6
+    assert scan["max_value_rel_deviation"] <= 1e-9
+
+
 def test_explore_all_scans(tmp_path):
     out = tmp_path / "scan.json"
     code = main(["explore", *SMALL_EXPLORE, "--out", str(out)])

@@ -1,8 +1,11 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from opmeans import explore
 from opmeans.explore import (
     DEFAULT_EXTREMIZER_SAMPLES,
     GridSpec,
@@ -13,7 +16,14 @@ from opmeans.explore import (
     scan_quantity,
     verify_extremizers,
 )
-from opmeans.scalar import critical_nu_diff, critical_nu_ratio, log_mean, specht_ratio
+from opmeans.scalar import (
+    critical_nu_diff,
+    critical_nu_ratio,
+    log_mean,
+    reverse_diff_objective,
+    reverse_ratio_objective,
+    specht_ratio,
+)
 
 SMALL_GRID = GridSpec(a_count=60, b_count=60, nu_points=(0.05, 0.2, 0.5, 0.6, 0.9))
 
@@ -199,10 +209,21 @@ def _oracle_conjecture(grid):
     }
 
 
+def _seeded_grid(seed):
+    rng = np.random.default_rng(seed)
+    lo_a, hi_a, lo_b, hi_b = rng.uniform(0.0, 0.5, size=4)
+    return GridSpec(a_lo=10.0 ** (-2.0 - lo_a), a_hi=10.0 ** (2.0 + hi_a),
+                    b_lo=10.0 ** (-2.0 - lo_b), b_hi=10.0 ** (2.0 + hi_b))
+
+
 ORACLE_GRIDS = {
     "default": GridSpec(),
     "non-square": GridSpec(a_lo=1e-6, a_hi=1e6, a_count=123, b_lo=1e-3, b_hi=1e8, b_count=77,
                            nu_points=(0.0, 0.3, 0.5, 1.0)),
+    "seeded": _seeded_grid(7),
+    # a[i] == b[i - 1] for i = 1..4: equal values off the index diagonal, which
+    # the conjecture scan must drop by value
+    "shared-off-diagonal": GridSpec(a_lo=1e-2, a_hi=1e2, a_count=5, b_lo=1e-1, b_hi=1e3, b_count=5),
 }
 
 
@@ -211,6 +232,12 @@ def test_scans_equal_per_weight_oracle(grid):
     for kind in ("ratio", "difference"):
         assert no_ordering_scan(kind, grid).to_json_dict() == _oracle_no_ordering(kind, grid)
     assert conjecture_scan(grid).to_json_dict() == _oracle_conjecture(grid)
+
+
+def test_shared_values_grid_shares_values_off_the_index_diagonal():
+    a_axis, b_axis = ORACLE_GRIDS["shared-off-diagonal"].axes()
+    i, j = np.nonzero(a_axis[:, None] == b_axis[None, :])
+    assert i.tolist() == [1, 2, 3, 4] and j.tolist() == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +279,145 @@ def test_golden_section_on_parabola():
     x, fx = golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
     assert x == pytest.approx(0.3, abs=1e-7)
     assert fx == pytest.approx(0.0, abs=1e-13)
+    assert np.ndim(x) == 0 and np.ndim(fx) == 0
+
+
+# The per-search golden-section loop, one interval at a time with scalar
+# probes: the oracle of the lockstep search.
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _scalar_golden_section_max(fn, lo, hi, tol=1e-10):
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc = fn(c)
+    fd = fn(d)
+    steps = 0
+    while hi - lo > tol:
+        steps += 1
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = fn(d)
+    x = 0.5 * (lo + hi)
+    return x, fn(x), steps
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _parabola(t):
+    return -(t - 0.3) ** 2
+
+
+def _staircase(t):
+    # flat steps give ties fc == fd
+    return -np.abs(np.floor(8.0 * t) - 2.0)
+
+
+def _nan_right(t):
+    # NaN right of 0.4, so fc > fd is False whenever d lies there
+    return np.where(t > 0.4, np.nan, -(t - 0.3) ** 2)
+
+
+GOLDEN_INTERVALS = [(0.0, 1.0), (0.0, 1e-3), (0.2, 0.2), (-5.0, 5.0), (0.25, 0.5), (0.3, 0.3 + 1e-10)]
+
+
+@pytest.mark.parametrize("fn", [_parabola, _staircase, _nan_right], ids=["parabola", "ties", "nan"])
+def test_golden_section_lockstep_equals_scalar_runs(fn):
+    lo = np.array([iv[0] for iv in GOLDEN_INTERVALS])
+    hi = np.array([iv[1] for iv in GOLDEN_INTERVALS])
+    x, fx = golden_section_max(fn, lo, hi)
+    assert x.shape == fx.shape == lo.shape
+    steps = set()
+    for k, (a, b) in enumerate(GOLDEN_INTERVALS):
+        want_x, want_f, n = _scalar_golden_section_max(fn, a, b)
+        steps.add(n)
+        assert _bits(x[k]) == _bits(want_x)
+        assert _bits(fx[k]) == _bits(want_f)
+        one_x, one_f = golden_section_max(fn, a, b)
+        assert _bits(one_x) == _bits(want_x) and _bits(one_f) == _bits(want_f)
+    assert 0 in steps and len(steps) >= 4  # lo == hi takes no step; widths differ
+    assert not np.isnan(x).any()
+
+
+def test_golden_section_calls_fn_once_per_step_on_every_probe():
+    shapes = []
+
+    def fn(t):
+        shapes.append(np.shape(t))
+        return _parabola(t)
+
+    lo, hi = np.zeros((2, 3)), np.full((2, 3), 0.5)
+    hi[0, 0] = 1e-6
+    golden_section_max(fn, lo, hi)
+    *_, steps = _scalar_golden_section_max(_parabola, 0.0, 0.5)
+    assert shapes == [(2, 3)] * (steps + 3)
+
+
+# The per-search loop that verify_extremizers replaced: three scalar searches
+# per sample, each with its own closed forms.
+def _extremizer_oracle(b_samples, tol=1e-10):
+    rows = []
+    worst_arg = worst_val = 0.0
+    for b in b_samples:
+        b = float(b)
+        if b <= 0.0 or b == 1.0:
+            raise ValueError(f"samples must be positive and != 1, got {b}")
+        families = (
+            ("ratio", lambda nu: reverse_ratio_objective(b, nu), (0.0, 0.5),
+             critical_nu_ratio(b), specht_ratio(np.sqrt(b))),
+            ("difference", lambda nu: reverse_diff_objective(b, nu), (0.0, 0.5),
+             critical_nu_diff(b), log_mean(1.0, np.sqrt(b)) * np.log(specht_ratio(np.sqrt(b)))),
+            ("ratio_mirror", lambda nu: reverse_ratio_objective(b, 1.0 - nu), (0.5, 1.0),
+             1.0 - critical_nu_ratio(b), specht_ratio(np.sqrt(b))),
+        )
+        for family, fn, (lo, hi), arg_closed, val_closed in families:
+            arg_num, val_num, _ = _scalar_golden_section_max(fn, lo, hi, tol=tol)
+            arg_dev = abs(arg_num - arg_closed)
+            val_dev = abs(val_num - val_closed) / abs(val_closed) if val_closed != 0 else abs(val_num)
+            worst_arg = max(worst_arg, arg_dev)
+            worst_val = max(worst_val, val_dev)
+            rows.append({
+                "b": b,
+                "family": family,
+                "argmax_numeric": float(arg_num),
+                "argmax_closed_form": float(arg_closed),
+                "argmax_deviation": float(arg_dev),
+                "max_numeric": float(val_num),
+                "max_closed_form": float(val_closed),
+                "max_rel_deviation": float(val_dev),
+            })
+    return {
+        "name": "extremizers",
+        "rows": rows,
+        "max_argmax_deviation": float(worst_arg),
+        "max_value_rel_deviation": float(worst_val),
+    }
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [DEFAULT_EXTREMIZER_SAMPLES, (0.01, 0.3, 0.9), (1.0 + 1e-6, 1.0 - 1e-6), (1e6,), (4.0,)],
+    ids=["default", "below-one", "near-one", "1e6", "4"],
+)
+def test_extremizers_equal_per_search_oracle(samples):
+    got = json.dumps(verify_extremizers(samples).to_json_dict())
+    assert got == json.dumps(_extremizer_oracle(samples))
+
+
+def test_extremizers_objective_call_count(monkeypatch):
+    calls = []
+    for name in ("reverse_ratio_objective", "reverse_diff_objective"):
+        original = getattr(explore, name)
+        monkeypatch.setattr(explore, name, lambda *args, f=original: calls.append(1) or f(*args))
+    verify_extremizers()
+    assert 0 < len(calls) <= 120
 
 
 def test_extremizers_default_samples():
@@ -282,3 +448,27 @@ def test_extremizers_reject_degenerate_sample():
         verify_extremizers((1.0,))
     with pytest.raises(ValueError):
         verify_extremizers((-2.0,))
+
+
+@pytest.mark.parametrize(
+    "samples,message",
+    [
+        ((4.0, 0.0), "samples must be positive and != 1, got 0.0"),
+        ((4.0, 1.0, -1.0), "samples must be positive and != 1, got 1.0"),
+        ((4.0, math.nan), "b must be strictly positive"),
+        ((math.inf,), "b must be strictly positive"),
+        ((math.nan, 0.0), "b must be strictly positive"),
+        ((-1.0, math.nan), "samples must be positive and != 1, got -1.0"),
+    ],
+)
+def test_extremizers_refuse_the_first_bad_sample(samples, message):
+    # the message of the first bad sample in order, as a search per sample gives
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_extremizers(samples)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _extremizer_oracle(samples)
+
+
+def test_extremizers_of_no_samples():
+    rep = verify_extremizers(())
+    assert rep.rows == () and rep.max_argmax_deviation == 0.0 and rep.max_value_rel_deviation == 0.0

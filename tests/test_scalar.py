@@ -358,6 +358,24 @@ def test_critical_weight_max_value_identities(b):
     assert got == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("b", [1e-6, 0.1, 4.0, 1e6, 1e12, 1e16, 1e100])
+@pytest.mark.parametrize("nu", [0.01, 0.2, 0.45, 0.8])
+def test_objectives_match_defining_formula(b, nu):
+    # The library evaluates the numerator as 1 + 2nu(sqrt(b)-1); the oracle
+    # uses the defining nu*b + (1-nu) - nu(sqrt(b)-1)^2, with 150 digits for
+    # the cancellation of its nu*b terms.  The error is measured against the
+    # size of the terms that are left, which the defining form in double
+    # precision misses by about eps*nu*b.
+    with mp.workdps(150):
+        mb, mnu = mp.mpf(b), mp.mpf(nu)
+        num = mnu * mb + (1 - mnu) - mnu * (mp.sqrt(mb) - 1) ** 2
+    scale = 1 + 2 * nu * math.sqrt(b)
+    ratio = scalar.reverse_ratio_objective(b, nu)
+    assert abs(ratio - num / mb**mnu) <= 4e-16 * scale / float(mb**mnu)
+    diff = scalar.reverse_diff_objective(b, nu)
+    assert abs(diff - (num - mb**mnu)) <= 4e-16 * (scale + float(mb**mnu))
+
+
 def test_critical_nu_diff_matches_golden_section_argmax():
     # independent bracketing search, no derivative information
     for b in [0.5, 4.0, 10.0]:
