@@ -35,6 +35,10 @@ _SPECHT_ONE_EPS = 1e-15
 _LOGMEAN_SWITCH = 1e-8
 
 _WEIGHT_SUM_TOL = 1e-12
+# Below this |u| = |ln b|/2 the critical weights take their Taylor series in
+# u, whose first omitted term is below 2e-15 relative; the closed forms
+# cancel there, both of their terms growing like 1/u.
+_CRITICAL_SERIES_U = 0.05
 
 
 def _as_float_array(x, name):
@@ -208,25 +212,46 @@ def _critical_base(b):
     return barr
 
 
+def _critical_weight(b, closed_form, series):
+    """closed_form(b), or, where |u| < _CRITICAL_SERIES_U with u = ln(b)/2,
+    its series 1/4 + c1 u + c3 u^3 + c5 u^5 for series = (c1, c3, c5)."""
+    barr = _critical_base(b)
+    u = 0.5 * np.log(barr)
+    near = np.abs(u) < _CRITICAL_SERIES_U
+    if not near.any():
+        return _scalar_out(closed_form(barr), b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # sqrt(b) may round to 1
+        out = closed_form(barr)
+    c1, c3, c5 = series
+    u2 = u * u
+    return _scalar_out(np.where(near, 0.25 + u * (c1 + u2 * (c3 + u2 * c5)), out), b)
+
+
 def critical_nu_ratio(b):
     """Maximizing weight 1/ln(b) - 1/(2(sqrt(b)-1)) of the ratio-reverse objective.
 
-    Defined for b > 0, b != 1; always lies in [0, 1/2].
+    Defined for b > 0, b != 1; always lies in [0, 1/2].  With u = ln(b)/2 it
+    is (1/u - 1/expm1(u))/2, taken as 1/4 - u/24 + u^3/1440 - u^5/60480 near
+    b = 1 (see _CRITICAL_SERIES_U).
     """
-    barr = _critical_base(b)
-    out = 1.0 / np.log(barr) - 1.0 / (2.0 * (np.sqrt(barr) - 1.0))
-    return _scalar_out(out, b)
+    def closed_form(b):
+        return 1.0 / np.log(b) - 1.0 / (2.0 * (np.sqrt(b) - 1.0))
+
+    return _critical_weight(b, closed_form, (-1.0 / 24.0, 1.0 / 1440.0, -1.0 / 60480.0))
 
 
 def critical_nu_diff(b):
     """Maximizing weight ln((sqrt(b)-1)/ln(sqrt(b))) / ln(b) of the difference objective.
 
-    Defined for b > 0, b != 1; always lies in [0, 1/2].
+    Defined for b > 0, b != 1; always lies in [0, 1/2].  With u = ln(b)/2 it
+    is ln(expm1(u)/u)/(2u), taken as 1/4 + u/48 - u^3/5760 + u^5/362880 near
+    b = 1 (see _CRITICAL_SERIES_U).
     """
-    barr = _critical_base(b)
-    rb = np.sqrt(barr)
-    out = np.log((rb - 1.0) / np.log(rb)) / np.log(barr)
-    return _scalar_out(out, b)
+    def closed_form(b):
+        rb = np.sqrt(b)
+        return np.log((rb - 1.0) / np.log(rb)) / np.log(b)
+
+    return _critical_weight(b, closed_form, (1.0 / 48.0, -1.0 / 5760.0, 1.0 / 362880.0))
 
 
 def reverse_ratio_objective(b, nu):

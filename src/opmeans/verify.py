@@ -36,24 +36,22 @@ finite, or a t at or below the inversion floor raises NumericalError naming
 the check and the instance; a failed SVD names the check, a failed margin
 eigensolve its stack size.
 
-Each pair margin is the smallest (or, for the difference reverse, largest)
-eigenvalue of a margin matrix, from matrices._eigvals_stack (LAPACK, no
-eigenvectors), which reads only the lower triangle: every margin matrix is
-built from symmetric operands by elementwise arithmetic, so it is exactly
-symmetric.  A margin array holds that eigenvalue only where the kernel
-solved it, and elsewhere a certified lower bound: the kernel brackets every
-margin from the diagonal of its matrix in the frame and solves only the
-margins that can be their name's worst or a violation (see _pair_margins),
-so the worst margin, its instance and the violation count are those of
-solving them all.  The state-vector margins need one LAPACK eigendecomposition
-per chunk (matrices._eigvecs_stack).
+Each pair margin is a row of _PAIR_MARGINS: the smallest eigenvalue of a
+margin matrix, or a constant minus its largest, and the matrix is one list
+of signed terms that gives both its frame diagonal and the matrix itself.
+The kernel brackets every margin from that diagonal and solves, by
+matrices._eigvals_stack (LAPACK, no eigenvectors, lower triangle only; the
+terms are symmetric, so every matrix is exactly symmetric), only those that
+can be their name's worst or a violation.  Elsewhere a margin array holds a
+certified lower bound, so the worst margin, its instance and the violation
+count are those of solving them all.  The state-vector margins need one
+LAPACK eigendecomposition per chunk (matrices._eigvecs_stack).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +110,35 @@ CHECK_IDS = {
     "holder_mccarthy": 5,
 }
 CHECK_NAMES = tuple(CHECK_IDS)
-PAIR_CHECK_NAMES = CHECK_NAMES[:4]
+
+# The margins of the pair checks: per check, rows (name, matrix, c).  A
+# matrix is a tuple of signed terms (sign, coefficient, operand) summed in
+# their order (which fixes its last bits), and its margin is lambda_min, or
+# c - lambda_max where a constant c is named.  The operands are the means am,
+# gm and hm, the refined harmonic route rhm, the bridge (A+B)/2 - A #_(1/2) B
+# and I; _pair_margins defines the coefficients and constants.
+_AM_GM_BRIDGE = (("+", None, "am"), ("-", None, "gm"), ("-", "two_r", "bridge"))
+_PAIR_MARGINS = {
+    "refined_chain": (
+        ("am_vs_refined_gm", _AM_GM_BRIDGE, None),
+        ("refined_gm_vs_gm", (("+", "two_r", "bridge"),), None),
+        ("gm_vs_refined_hm", (("+", None, "gm"), ("-", None, "rhm")), None),
+        ("refined_hm_vs_hm", (("+", None, "rhm"), ("-", None, "hm")), None),
+        ("am_vs_gm", (("+", None, "am"), ("-", None, "gm")), None),
+    ),
+    "reverse_ratio": (
+        ("reverse_ratio", (("+", "two_r", "bridge"), ("-", None, "am"), ("+", "s_root", "gm")), None),
+    ),
+    "reverse_difference": (
+        ("reverse_difference", _AM_GM_BRIDGE, "c_global"),
+        ("reverse_difference_tight", _AM_GM_BRIDGE, "c_tight"),
+    ),
+    "baseline_reverses": (
+        ("baseline_ratio", (("+", "s_full", "gm"), ("-", None, "am")), None),
+        ("baseline_difference", (("+", "c_diff", "I"), ("+", None, "gm"), ("-", None, "am")), None),
+    ),
+}
+PAIR_CHECK_NAMES = tuple(_PAIR_MARGINS)
 
 DEFAULT_REL_TOL = 1e-8
 # The state-vector margins are scale-free quantities, so they carry their own
@@ -335,11 +361,6 @@ def _nu_table(base, h):
     return table
 
 
-def augmented_nu_grid(base, h):
-    """Base grid plus the two critical weights of condition ratio h, clamped to [0, 1]."""
-    return tuple(base) + tuple(_nu_table((), [h])[0].tolist())
-
-
 # ---------------------------------------------------------------------------
 # Batched margin kernels
 # ---------------------------------------------------------------------------
@@ -392,12 +413,6 @@ class _Accumulator:
         )
 
 
-# A margin matrix of _pair_margins: W diag(d) W^T + shift I in the frame, up
-# to roundoff, with d (n, P, J) and size the sums of the magnitudes of the
-# terms of d; shift is (P, 1) or None.  form(ops, p, j) builds the matrices
-# at table rows (p, j) from the named operands there.
-_MarginMatrix = namedtuple("_MarginMatrix", "d size shift operands form")
-
 # The screen's slack per unit of dimension and of operand size.  By Weyl's
 # theorem it must cover the frame residuals that _diagonalize_pairs is held
 # to (A = W W^T within 8 n eps ||A||, B = W diag(t) W^T within
@@ -436,42 +451,58 @@ def _candidates(lo, hi, tols):
     return ~(lo > np.maximum(np.minimum.reduce(hi.reshape(len(hi), -1), axis=1)[:, None, None], -tols))
 
 
-def _screen(mats, names, frame, t, tols):
+def _screen(d, size, shift, margins, frame, t, tols):
     """Lower bounds (N, P, J) on N eigenvalue margins, and the mask (K, P * J)
-    of the table rows where each of K _MarginMatrix must be solved.
+    of the table rows where each of K margin matrices must be solved.
 
-    names holds (k, largest, c) per margin: lambda_min of matrix k, or
-    c (P,) - lambda_max if largest.  t is (n, P, 1) and tols (P, 1).  The
-    bounds of _eig_bracket are widened by
+    Matrix k is W diag(d[k]) W^T + shift[k] I up to roundoff, with d and size
+    (K, n, P, J), size the sums of the magnitudes of the terms of d, and shift
+    (K, P, J).  margins holds (k, c) per margin: lambda_min of matrix k, or
+    c (P, 1) - lambda_max when c is given.  t is (n, P, 1) and tols (P, 1).
+    The bounds of _eig_bracket are widened by
     8 n eps ((1 + sqrt(h)) ||A|| max_i size_i + |shift| + |c|), and a row is
     needed where some margin on it is one of the _candidates.
     """
-    k_count = len(mats)
-    _, p_count, j_count = mats[0].d.shape
+    k_count, _, p_count, j_count = d.shape
     unit = _SCREEN_SLACK * len(t)
     h = frame["scale"] / frame["m_hat"]
     widen = unit * frame["top"]
     widen[1] *= np.sqrt(h)
-    lo, hi = _eig_bracket(np.stack([mat.d for mat in mats]), t, frame["low"] - widen, frame["top"] + widen)
-    shift = np.zeros((k_count, p_count, 1))
-    for k, mat in enumerate(mats):
-        if mat.shift is not None:
-            shift[k] = mat.shift
-    size = np.maximum.reduce(np.stack([mat.size for mat in mats]), axis=1)
-    slack = (unit * (1.0 + np.sqrt(h)) * frame["top_a"])[:, None] * size + unit * np.abs(shift)
+    lo, hi = _eig_bracket(d, t, frame["low"] - widen, frame["top"] + widen)
+    slack = (unit * (1.0 + np.sqrt(h)) * frame["top_a"])[:, None] * size.max(axis=1) + unit * np.abs(shift)
     lo = lo - slack + shift
     hi = hi + slack + shift
-    name_k = np.array([k for k, _, _ in names])
-    largest = np.array([int(largest) for _, largest, _ in names])
+    name_k = np.array([k for k, _ in margins])
+    largest = np.array([int(c is not None) for _, c in margins])
     name_lo = lo[largest, name_k]
     name_hi = hi[largest, name_k]
-    for i, (_, _, c) in enumerate(names):
+    for i, (_, c) in enumerate(margins):
         if c is not None:
-            c = c[:, None]
             name_lo[i], name_hi[i] = c - name_hi[i] - unit * np.abs(c), c - name_lo[i] + unit * np.abs(c)
     need = np.zeros((k_count, p_count * j_count), dtype=bool)
-    np.logical_or.at(need, name_k, _candidates(name_lo, name_hi, tols).reshape(len(names), -1))
+    np.logical_or.at(need, name_k, _candidates(name_lo, name_hi, tols).reshape(len(margins), -1))
     return name_lo, need
+
+
+def _sum_terms(terms, operand, coefficient, signed=True):
+    """The sum of a margin matrix's terms (sign, coefficient, operand) in
+    their order, each coefficient(name) * operand(op), or operand(op) where
+    it names no coefficient.  A term whose operand(op) is None adds nothing,
+    and with signed=False every term is added; 0.0 if no term adds."""
+    total = None
+    for sign, name, op in terms:
+        x = operand(op)
+        if x is not None:
+            x = x if name is None else coefficient(name) * x
+            minus = signed and sign == "-"
+            total = (-x if minus else x) if total is None else (total - x if minus else total + x)
+    return 0.0 if total is None else total
+
+
+def _lazy(makers):
+    """A getter of makers' values (name -> function of no argument), each made when first asked for."""
+    made = {}
+    return lambda name: made[name] if name in made else made.setdefault(name, makers[name]())
 
 
 def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
@@ -484,135 +515,96 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
     and B.  label(p) names instance p in error messages; a non-finite margin
     raises NumericalError.
 
-    Every margin but refined_gm_vs_gm is an extreme eigenvalue of a margin
-    matrix that equals, up to roundoff, W diag(d) W^T + c I in the frame.
-    _screen bounds each from its diagonal d and keeps the margins that can be
-    their name's worst over the table or a violation; only their matrices are
-    formed, on their rows alone and by the expressions that define the
-    margins, and solved in one _eigvals_stack call.  Every other margin is
-    reported as its lower bound, which is above its name's worst and above
-    -tol, so the worst margin, its instance and the violation count are
-    those of solving every matrix.
+    The margins are the checks' rows of _PAIR_MARGINS.  _sum_terms sums a
+    matrix's one term list over its operands' frame diagonals (d), their
+    term sizes, the coefficient of I (the shift) and the operand matrices,
+    which make W diag(d) W^T + shift I up to roundoff.  _screen bounds each
+    margin from d and keeps those that can be their name's worst over the
+    table or a violation; only their matrices are formed, on their rows, and
+    solved in one _eigvals_stack call.  Every other margin is reported as
+    its lower bound, above its name's worst and above -tol, so the worst
+    margin, its instance and the violation count are those of solving all.
     """
     a, b, w, t = frame["a"], frame["b"], frame["w"], frame["t"]
     p_count, j_count = nus.shape
     r = np.minimum(nus, 1.0 - nus)
+    # the per-pair values as (P, 1) columns of the table
+    m, big_m, top_a = m[:, None], big_m[:, None], frame["top_a"][:, None]
     h = big_m / m
     tols = rel_tol * frame["scale"][:, None]
     bridge = _bridge(frame, _geometric_stacks(w, t, np.full((p_count, 1), 0.5))[:, 0])
-    if "reverse_ratio" in checks or "reverse_difference" in checks:
-        s_root = specht_ratio(np.sqrt(h))
-    # the frame diagonals over the table, (n, P, J) with the index i first
-    t_i = t.T[:, :, None]
-    root_t = np.sqrt(t_i)
-    am_d = (1.0 - nus) + nus * t_i
-    gm_d = np.power(t_i, nus)
-    # 2r times the bridge diagonal (1 + t)/2 - sqrt(t), and the size of its terms
-    bridge_d = r * (1.0 - root_t) ** 2
-    bridge_size = r * (1.0 + root_t) ** 2
+    t_i = t.T[:, :, None]  # (n, P, 1), with the index i of the frame diagonals first
 
-    def two_r_bridge(p, j):
-        return 2.0 * r[p, j][:, None, None] * bridge[p]
+    def refined_hm_diag():
+        # the refined HM is W diag(1/d) W^T with d = t^-nu + r (1 - t^-1/2)^2;
+        # _inverse4 reads (P, J, n) views of the diagonals
+        where = "check refined_chain instance"
+        inv_t_i = _inverse4(t[:, None], lambda p, j: f"{where} ({label(p)})").transpose(2, 0, 1)
+        return _inverse4(
+            (inv_t_i ** nus + r * (1.0 - np.sqrt(inv_t_i)) ** 2).transpose(1, 2, 0),
+            lambda p, j: f"{where} ({label(p)}, nu={nus[p, j]})",
+        ).transpose(2, 0, 1)
 
-    # key -> _MarginMatrix
-    mats = {}
-    # check -> [(name, key, largest, c)]: lambda_min of the key's matrix, or
-    # c - lambda_max if largest; or [(name, the exact (P, J) margins)]
-    specs = {}
-    for check in checks:
-        if check in ("refined_chain", "reverse_difference") and "am-gm-bridge" not in mats:
-            mats["am-gm-bridge"] = _MarginMatrix(
-                am_d - gm_d - bridge_d, am_d + gm_d + bridge_size, None, ("am", "gm"),
-                lambda o, p, j: o["am"] - o["gm"] - two_r_bridge(p, j),
-            )
-        if check == "refined_chain":
-            def ctx_msg(p, j):
-                return f"check refined_chain instance ({label(p)}, nu={nus[p, j]})"
+    # the coefficients and constants, (P, 1) or (P, J), and each operand's
+    # frame diagonal with the sizes of its terms, (n, P, J); I has neither
+    value = _lazy({
+        "two_r": lambda: 2.0 * r,
+        "s_root": lambda: specht_ratio(np.sqrt(h)),
+        "s_full": lambda: specht_ratio(h),
+        "c_global": lambda: h * np.sqrt(big_m) * log_mean(np.sqrt(big_m), np.sqrt(m)) * np.log(value("s_root")),
+        "c_tight": lambda: np.sqrt(h) * log_mean(np.sqrt(h), 1.0) * np.log(value("s_root")) * top_a,
+        "c_diff": lambda: h * log_mean(m, big_m) * np.log(value("s_full")),
+        "am": lambda: ((1.0 - nus) + nus * t_i,) * 2,
+        "gm": lambda: (np.power(t_i, nus),) * 2,
+        "bridge": lambda: (0.5 * (1.0 - np.sqrt(t_i)) ** 2, 0.5 * (1.0 + np.sqrt(t_i)) ** 2),
+        "rhm": lambda: (refined_hm_diag(),) * 2,
+        "hm": lambda: (_harmonic_diag(t_i, nus),) * 2,
+        "I": lambda: (None, None),
+    })
+    specs = [(check,) + row for check in checks for row in _PAIR_MARGINS[check]]
+    mats = list(dict.fromkeys(terms for _, _, terms, _ in specs if len(terms) > 1))
+    screened = [(mats.index(terms), c and value(c)) for _, _, terms, c in specs if len(terms) > 1]
+    d = np.stack([_sum_terms(terms, lambda op: value(op)[0], value) for terms in mats])
+    size = np.stack([_sum_terms(terms, lambda op: value(op)[1], lambda name: np.abs(value(name)), signed=False)
+                     for terms in mats])
+    # the shift is the coefficient of I; a one-term matrix c X over the
+    # weight-free bridge (refined_gm_vs_gm) has the margin c lambda_min(X)
+    shift = np.zeros((len(mats), p_count, j_count))
+    for k, terms in enumerate(mats):
+        shift[k] = _sum_terms(terms, {"I": 1.0}.get, value)
+    lowest = _lazy({"bridge": lambda: _eigvals_min_stack(bridge)[:, None]})
+    exact = {spec[:2]: _sum_terms(spec[2], lowest, value) for spec in specs if len(spec[2]) == 1}
+    name_lo, need = _screen(d, size, shift, screened, frame, t_i, tols)
 
-            # the refined HM is W diag(1/d) W^T with d = t^-nu + r (1 - t^-1/2)^2;
-            # _inverse4 reads (P, J, n) views of the diagonals
-            inv_t = _inverse4(t[:, None], lambda p, j: f"check refined_chain instance ({label(p)})")
-            inv_t_i = inv_t[:, 0].T[:, :, None]
-            rhm_d = _inverse4(
-                (inv_t_i ** nus + r * (1.0 - np.sqrt(inv_t_i)) ** 2).transpose(1, 2, 0), ctx_msg
-            ).transpose(2, 0, 1)
-            hm_d = _harmonic_diag(t_i, nus)
-            mats["gm-rhm"] = _MarginMatrix(gm_d - rhm_d, gm_d + rhm_d, None, ("gm", "rhm"),
-                                           lambda o, p, j: o["gm"] - o["rhm"])
-            mats["rhm-hm"] = _MarginMatrix(rhm_d - hm_d, rhm_d + hm_d, None, ("rhm", "hm"),
-                                           lambda o, p, j: o["rhm"] - o["hm"])
-            mats["am-gm"] = _MarginMatrix(am_d - gm_d, am_d + gm_d, None, ("am", "gm"),
-                                          lambda o, p, j: o["am"] - o["gm"])
-            specs[check] = [
-                ("am_vs_refined_gm", "am-gm-bridge", False, None),
-                ("refined_gm_vs_gm", 2.0 * r * _eigvals_min_stack(bridge)[:, None]),
-                ("gm_vs_refined_hm", "gm-rhm", False, None),
-                ("refined_hm_vs_hm", "rhm-hm", False, None),
-                ("am_vs_gm", "am-gm", False, None),
-            ]
-        elif check == "reverse_ratio":
-            mats["ratio"] = _MarginMatrix(
-                s_root[:, None] * gm_d - am_d + bridge_d,
-                s_root[:, None] * gm_d + am_d + bridge_size, None, ("am", "gm"),
-                lambda o, p, j: s_root[p][:, None, None] * o["gm"] - (o["am"] - two_r_bridge(p, j)),
-            )
-            specs[check] = [("reverse_ratio", "ratio", False, None)]
-        elif check == "reverse_difference":
-            root_h = np.sqrt(h)
-            log_s = np.log(s_root)
-            c_global = h * np.sqrt(big_m) * log_mean(np.sqrt(big_m), np.sqrt(m)) * log_s
-            c_tight = root_h * log_mean(root_h, 1.0) * log_s * frame["top_a"]
-            specs[check] = [
-                ("reverse_difference", "am-gm-bridge", True, c_global),
-                ("reverse_difference_tight", "am-gm-bridge", True, c_tight),
-            ]
-        elif check == "baseline_reverses":
-            s_full = specht_ratio(h)
-            diff_const = h * log_mean(m, big_m) * np.log(s_full)
-            eye = np.eye(a.shape[-1])
-            mats["baseline-ratio"] = _MarginMatrix(
-                s_full[:, None] * gm_d - am_d, s_full[:, None] * gm_d + am_d, None, ("am", "gm"),
-                lambda o, p, j: s_full[p][:, None, None] * o["gm"] - o["am"],
-            )
-            mats["baseline-difference"] = _MarginMatrix(
-                gm_d - am_d, gm_d + am_d, diff_const[:, None], ("am", "gm"),
-                lambda o, p, j: diff_const[p][:, None, None] * eye + o["gm"] - o["am"],
-            )
-            specs[check] = [
-                ("baseline_ratio", "baseline-ratio", False, None),
-                ("baseline_difference", "baseline-difference", False, None),
-            ]
-        elif check != "refined_chain":  # pragma: no cover - guarded by config validation
-            raise ValueError(f"not a pair check: {check}")
-
-    keys = list(mats)
-    screened = [spec for check_specs in specs.values() for spec in check_specs if len(spec) == 4]
-    name_k = np.array([keys.index(key) for _, key, _, _ in screened])
-    name_lo, key_need = _screen(
-        [mats[key] for key in keys], [(k,) + spec[2:] for k, spec in zip(name_k, screened)],
-        frame, t_i, tols,
-    )
-
-    # the operands on every row that some matrix needs, then each matrix
-    # there, kept where it is needed
-    rows = np.flatnonzero(key_need.any(axis=0))
-    kept = key_need[:, rows]
+    # the operands on every row that some matrix needs, made before the stack
+    # so that their temporaries and the stack are not held at once; then each
+    # matrix there, kept where it is needed
+    rows = np.flatnonzero(need.any(axis=0))
+    kept = need[:, rows]
     counts = kept.sum(axis=1).tolist()
     p, j = np.divmod(rows, j_count)
     nu_rows = nus[p, j][:, None]
+    used = {op for k, terms in enumerate(mats) if counts[k] for _, _, op in terms}
     formers = {
         "am": lambda: _arithmetic_stack(a[p], b[p], nu_rows)[:, 0],
         "gm": lambda: _geometric_stacks(w[p], t[p], nu_rows)[:, 0],
-        "rhm": lambda: _sym(_recon(w[p], rhm_d[:, p, j].T)),
+        "rhm": lambda: _sym(_recon(w[p], value("rhm")[0][:, p, j].T)),
         "hm": lambda: _harmonic_stack(w[p], t[p], nu_rows)[:, 0],
+        "bridge": lambda: bridge[p],
+        "I": lambda: np.eye(a.shape[-1]),
     }
-    used = dict.fromkeys(op for key, count in zip(keys, counts) if count for op in mats[key].operands)
-    ops = {op: formers[op]() for op in used}
+    ops = {op: form() for op, form in formers.items() if op in used}
+
+    def at_rows(x):
+        return x[p, j if x.shape[1] > 1 else 0]
+
     starts = np.cumsum([0] + counts).tolist()
     stack = np.empty((starts[-1],) + a.shape[1:])
-    for k, key in enumerate(keys):
+    for k, terms in enumerate(mats):
         if counts[k]:
-            np.compress(kept[k], mats[key].form(ops, p, j), axis=0, out=stack[starts[k]:starts[k + 1]])
+            matrix = _sum_terms(terms, ops.get, lambda name: at_rows(value(name))[:, None, None])
+            np.compress(kept[k], matrix, axis=0, out=stack[starts[k]:starts[k + 1]])
+            del matrix
     del ops  # so that the eigensolve's peak memory holds the stack alone
 
     # one eigensolve; a matrix with a non-finite entry gets NaN margins
@@ -627,20 +619,18 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
             lam[finite] = _eigvals_stack(stack[finite])[:, [0, -1]]
 
     # each screened margin: solved where kept, its lower bound elsewhere
-    values = name_lo.reshape(len(screened), -1)
-    for i, (_, _, largest, c) in enumerate(screened):
-        k = name_k[i]
-        ends = lam[starts[k]:starts[k + 1], int(largest)]
-        values[i, rows[kept[k]]] = ends if c is None else c[p[kept[k]]] - ends
-    screened_values = iter(name_lo)
-    result = {
-        check: ({spec[0]: next(screened_values) if len(spec) == 4 else spec[1] for spec in check_specs}, tols)
-        for check, check_specs in specs.items()
-    }
-    exact = [spec[1] for check_specs in specs.values() for spec in check_specs if len(spec) == 2]
-    if not (np.isfinite(values).all() and all(np.isfinite(e).all() for e in exact)):
+    flat = name_lo.reshape(len(screened), -1)
+    for i, (k, c) in enumerate(screened):
+        ends = lam[starts[k]:starts[k + 1], int(c is not None)]
+        flat[i, rows[kept[k]]] = ends if c is None else at_rows(c)[kept[k]] - ends
+    solved = iter(name_lo)
+    result = {check: ({}, tols) for check in checks}
+    for check, name, terms, _ in specs:
+        result[check][0][name] = exact[check, name] if len(terms) == 1 else next(solved)
+    if not (np.isfinite(flat).all() and all(np.isfinite(e).all() for e in exact.values())):
         for check, (margins, _) in result.items():
             _require_finite(check, margins, nus, label)
+    del value  # some of its makers read it: free that cycle now, not at a collection
     return result
 
 

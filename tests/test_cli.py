@@ -9,7 +9,7 @@ from lapack_reference import pair_bounds, worst_and_violations
 from opmeans import cli, matrices, verify
 from opmeans.cli import main
 from opmeans.matrices import SingularMatrixError, SymMatrix, save_matrix
-from opmeans.verify import DEFAULT_NU_GRID, augmented_nu_grid
+from opmeans.verify import DEFAULT_NU_GRID
 
 FAST_VERIFY = ["verify", "--trials", "8", "--dims", "2,3"]
 SMALL_EXPLORE = ["--a-range", "0.1,10,40", "--b-range", "0.1,10,40", "--nu-points", "0.1,0.5,0.9"]
@@ -163,7 +163,7 @@ def test_verify_pair_mode_matches_lapack_reference(tmp_path):
     doc = read_json(out)
     a, b = (np.array(read_json(path)["entries"]).reshape(4, 4) for path in (fa, fb))
     m, big_m = pair_bounds(a, b)
-    nus = augmented_nu_grid(DEFAULT_NU_GRID, big_m / m)
+    nus = verify._nu_table(DEFAULT_NU_GRID, [big_m / m])[0].tolist()
     total = 0
     for check in doc["checks"]:
         worst, violations = worst_and_violations(check["name"], a, b, nus, 1e-8)
@@ -276,6 +276,19 @@ def test_verify_non_finite_matrix_entry_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "numerical error in holder_mccarthy: non-finite entry in matrix 1 " in err
     assert "Jacobi" not in err
+
+
+def test_verify_spectra_next_to_one_exit_zero(tmp_path, capsys):
+    # the critical weights of h = 1 + 2^-52 are finite, so no chunk records
+    # a nu = nan error; the pair A = I, B = diag(1, 1 + 2^-52) likewise
+    assert main(["verify", "--trials", "4", "--M", "1.0000000000000002", "--out", str(tmp_path / "r.json")]) == 0
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    save_matrix(SymMatrix.identity(2), paths[0])
+    save_matrix(SymMatrix.diagonal([1.0, 1.0 + 2.0**-52]), paths[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--pair", *paths, "--out", str(tmp_path / "p.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_infinite_upper_bound_rejected(capsys):

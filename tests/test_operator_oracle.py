@@ -11,7 +11,6 @@ import pytest
 
 from opmeans.means import weighted_geometric, weighted_harmonic
 from opmeans.verify import (
-    augmented_nu_grid,
     check_baseline_reverses,
     check_refined_chain,
     check_reverse_difference,

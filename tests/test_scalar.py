@@ -345,6 +345,27 @@ def test_critical_weights_are_elementwise():
                 fn(bad)
 
 
+def test_critical_weights_match_high_precision_near_and_far_from_one():
+    # near b = 1 both terms of each closed form grow like 1/ln b and cancel;
+    # the library switches to the Taylor series in u = ln(b)/2 there, and the
+    # oracle is the defining formula at 60 digits on the same float b
+    near = [1.0 + s * 10.0**-k for k in range(1, 16) for s in (1.0, -1.0)]
+    far = [float(x) for x in np.logspace(-300, 300, 61) if x != 1.0]
+    for b in near + far + [1.0 + 2.0**-52, 1.0 - 2.0**-53]:
+        with mp.workdps(60):
+            mb = mp.mpf(b)
+            root = mp.sqrt(mb)
+            want_ratio = 1 / mp.log(mb) - 1 / (2 * (root - 1))
+            want_diff = mp.log((root - 1) / mp.log(root)) / mp.log(mb)
+        for fn, want in ((scalar.critical_nu_ratio, want_ratio), (scalar.critical_nu_diff, want_diff)):
+            got = fn(b)
+            assert 0.0 <= got <= 0.5, (fn.__name__, b, got)
+            assert abs(got - want) <= 1e-13 * abs(want), (fn.__name__, b, got)
+    # the same values elementwise over an array
+    got = scalar.critical_nu_ratio(np.array(near))
+    assert got.tolist() == [scalar.critical_nu_ratio(b) for b in near]
+
+
 @pytest.mark.parametrize("b", [0.1, 0.5, 2.0, 4.0, 10.0, 100.0])
 def test_critical_weight_max_value_identities(b):
     nu_r = scalar.critical_nu_ratio(b)

@@ -20,7 +20,6 @@ from opmeans.verify import (
     DEFAULT_NU_GRID,
     SuiteConfig,
     UnitVector,
-    augmented_nu_grid,
     check_baseline_reverses,
     check_hm_refined,
     check_refined_chain,
@@ -191,14 +190,14 @@ def test_nu_table_matches_per_instance_grids_bit_for_bit():
     want = np.array([per_instance(DEFAULT_NU_GRID, float(h)) for h in hs])
     got = verify._nu_table(DEFAULT_NU_GRID, hs)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert augmented_nu_grid((0.1,), 4.0) == per_instance((0.1,), 4.0)
+    assert tuple(verify._nu_table((0.1,), [4.0])[0].tolist()) == per_instance((0.1,), 4.0)
 
 
 def test_augmented_grid_has_two_extra_points():
-    grid = augmented_nu_grid((0.0, 0.5, 1.0), 10.0)
+    grid = verify._nu_table((0.0, 0.5, 1.0), [10.0])[0].tolist()
     assert len(grid) == 5
     assert all(0.0 <= nu <= 1.0 for nu in grid)
-    assert augmented_nu_grid((0.5,), 1.0) == (0.5, 0.5, 0.5)
+    assert verify._nu_table((0.5,), [1.0])[0].tolist() == [0.5, 0.5, 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +448,7 @@ def test_suite_batched_matches_reference_path(check_name, check_fn):
         pair = gen_spd_pair(dim, cfg.m, cfg.big_m, rng_for(cfg.seed, check_name, k))
         a, b = pair.a.entries, pair.b.entries
         m, big_m = pair_bounds(a, b)
-        for nu in augmented_nu_grid(cfg.nu_grid, big_m / m):
+        for nu in verify._nu_table(cfg.nu_grid, [big_m / m])[0].tolist():
             want = pair_margins(check_name, a, b, nu)
             got = check_fn(pair, nu, rel_tol=cfg.rel_tol)
             for name, value in want.items():
@@ -540,7 +539,7 @@ def test_frame_harmonic_margins_match_explicit_inverse(h):
         dim = (2, 3, 4, 8)[k % 4]
         pair = gen_spd_pair(dim, 1.0, h, rng_for(1, "refined_chain", k))
         a, b = pair.a.entries, pair.b.entries
-        for nu in augmented_nu_grid((0.0, 0.1, 0.35, 0.5, 0.8, 1.0), pair.h):
+        for nu in verify._nu_table((0.0, 0.1, 0.35, 0.5, 0.8, 1.0), [pair.h])[0].tolist():
             got = check_refined_chain(pair, nu)
             want = pair_margins("refined_chain", a, b, nu)
             for name in ("gm_vs_refined_hm", "refined_hm_vs_hm"):
@@ -745,6 +744,68 @@ def test_screened_suite_matches_solving_every_margin(monkeypatch, cfg):
     screened = _body(run_suite(cfg))
     _exhaustive(monkeypatch)
     assert screened == _body(run_suite(cfg))
+
+
+def test_screened_pair_calls_match_solving_every_margin(monkeypatch):
+    # run_pair screens all four pair checks in one call, where refined_chain
+    # and reverse_difference share the AM - GM - 2r bridge matrix; check_*
+    # screens one check at one weight
+    pairs = [
+        gen_spd_pair(dim, 1.0, h, rng_for(seed, "refined_chain", 0))
+        for seed, (dim, h) in enumerate([(2, 10.0), (3, 1e4), (4, 1e6), (8, 10.0), (12, 1e3)])
+    ]
+
+    def outcomes():
+        found = []
+        for pair in pairs:
+            found.append([(agg.to_json_dict(), agg.results) for agg in verify.run_pair(pair)])
+            for check_fn in (check_refined_chain, check_reverse_ratio, check_reverse_difference,
+                             check_baseline_reverses):
+                found.extend(check_fn(pair, nu) for nu in (0.0, 0.3, 0.5, 1.0))
+        return repr(found)
+
+    screened = outcomes()
+    _exhaustive(monkeypatch)
+    assert screened == outcomes()
+
+
+@pytest.mark.parametrize("h", [10.0, 1e4, 1e6, 1e8, 1e10])
+def test_each_margin_matrix_matches_its_frame_form(monkeypatch, h):
+    # the one assumption the screen rests on: every formed margin matrix is
+    # W diag(d) W^T + shift I within the screen's slack, in the 2-norm, for
+    # the d, size and shift that its term list gives
+    seen = []
+    real_screen = verify._screen
+
+    def capture(d, size, shift, margins, frame, t, tols):
+        seen.append((d, size, shift, frame))
+        return real_screen(d, size, shift, margins, frame, t, tols)
+
+    def keep(stack):
+        seen.append(stack)
+        return matrices._eigvals_stack(stack)
+
+    _exhaustive(monkeypatch)
+    monkeypatch.setattr(verify, "_screen", capture)
+    monkeypatch.setattr(verify, "_eigvals_stack", keep)
+    # refined_chain is refused from h = 1e8 (see above)
+    checks = verify.PAIR_CHECK_NAMES if h < 1e8 else verify.PAIR_CHECK_NAMES[1:]
+    for dim in (2, 3, 4, 8, 12):
+        cfg = SuiteConfig(big_m=h, dims=(dim,)).validate()
+        for check in checks:
+            seen.clear()
+            verify._eval_pair_chunk(cfg, check, dim, list(range(64)))
+            (d, size, shift, frame), stack = seen
+            w = frame["w"]
+            # every matrix on every row of the (P, J) table, in table order
+            formed = stack.reshape((len(d),) + d.shape[2:] + (dim, dim))
+            ideal = np.einsum("pik,zkpj,plk->zpjil", w, d, w) + shift[..., None, None] * np.eye(dim)
+            error = np.linalg.norm(formed - ideal, 2, axis=(-2, -1))
+            unit = verify._SCREEN_SLACK * dim
+            root_h = np.sqrt(frame["scale"] / frame["m_hat"])
+            slack = unit * ((1.0 + root_h) * frame["top_a"])[:, None] * size.max(axis=1) + unit * np.abs(shift)
+            assert (error <= slack).all(), (dim, check, (error / slack).max())
+            assert len(d) == len({terms for _, terms, _ in verify._PAIR_MARGINS[check] if len(terms) > 1})
 
 
 def test_non_finite_screen_bound_names_the_instance(monkeypatch):
