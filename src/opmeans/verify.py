@@ -30,11 +30,10 @@ references live in the tests.
 The pair kernel reads its means off the congruence frame of means.py, one
 per chunk, through the stack functions that the public means view at one
 pair and one weight; only the refined harmonic route
-W diag(1 / (t^-nu + r (1 - t^-1/2)^2)) W^T is the verifier's own.  A pair the
-frame cannot certify positive definite or factor, a margin that is not
-finite, or a t at or below the inversion floor raises NumericalError naming
-the check and the instance; a failed SVD names the check, a failed margin
-eigensolve its stack size.
+W diag(t / (t^(1-nu) + r (sqrt(t) - 1)^2)) W^T is the verifier's own.  A pair
+the frame cannot certify positive definite or factor, or a margin that is not
+finite, raises NumericalError naming the check and the instance; a failed SVD
+names the check, a failed margin eigensolve its stack size.
 
 Each pair margin is a row of _PAIR_MARGINS: the smallest eigenvalue of a
 margin matrix, or a constant minus its largest, and the matrix is one list
@@ -61,7 +60,6 @@ from .matrices import (
     NumericalError,
     SingularMatrixError,
     SymMatrix,
-    _eigh_stack,
     _eigvals_min_stack,
     _eigvals_stack,
     _eigvecs_stack,
@@ -76,13 +74,18 @@ from .means import (
     _geometric_stacks,
     _harmonic_diag,
     _harmonic_stack,
-    _inverse4,
     _pair_frame,
     _recon,
     _require_nu,
     _sym,
 )
 from .scalar import critical_nu_diff, critical_nu_ratio, log_mean, specht_ratio
+
+# Nothing here calls these; opbench's tracer wraps them here, and
+# tests/test_benchmark_contract.py needs the metric verify.inverse_s that
+# _inverse4 feeds.  The benchmark's re-base (ROADMAP.md item 9) drops both.
+from .matrices import _eigh_stack
+from .means import _inverse4
 
 __all__ = [
     "CHECK_NAMES",
@@ -513,7 +516,9 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
     table; m and big_m (P,) are the spectral bounds that set h and the reverse
     constants.  The tolerance is rel_tol times the larger operator norm of A
     and B.  label(p) names instance p in error messages; a non-finite margin
-    raises NumericalError.
+    raises NumericalError.  The refined HM's diagonal is 1 / (t^-nu +
+    r (1 - t^-1/2)^2) multiplied through by t/t: its denominator is at least
+    t^(1-nu) > 0, so, like every operand's, it is defined for every t > 0.
 
     The margins are the checks' rows of _PAIR_MARGINS.  _sum_terms sums a
     matrix's one term list over its operands' frame diagonals (d), their
@@ -535,16 +540,6 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
     bridge = _bridge(frame, _geometric_stacks(w, t, np.full((p_count, 1), 0.5))[:, 0])
     t_i = t.T[:, :, None]  # (n, P, 1), with the index i of the frame diagonals first
 
-    def refined_hm_diag():
-        # the refined HM is W diag(1/d) W^T with d = t^-nu + r (1 - t^-1/2)^2;
-        # _inverse4 reads (P, J, n) views of the diagonals
-        where = "check refined_chain instance"
-        inv_t_i = _inverse4(t[:, None], lambda p, j: f"{where} ({label(p)})").transpose(2, 0, 1)
-        return _inverse4(
-            (inv_t_i ** nus + r * (1.0 - np.sqrt(inv_t_i)) ** 2).transpose(1, 2, 0),
-            lambda p, j: f"{where} ({label(p)}, nu={nus[p, j]})",
-        ).transpose(2, 0, 1)
-
     # the coefficients and constants, (P, 1) or (P, J), and each operand's
     # frame diagonal with the sizes of its terms, (n, P, J); I has neither
     value = _lazy({
@@ -557,7 +552,7 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
         "am": lambda: ((1.0 - nus) + nus * t_i,) * 2,
         "gm": lambda: (np.power(t_i, nus),) * 2,
         "bridge": lambda: (0.5 * (1.0 - np.sqrt(t_i)) ** 2, 0.5 * (1.0 + np.sqrt(t_i)) ** 2),
-        "rhm": lambda: (refined_hm_diag(),) * 2,
+        "rhm": lambda: (t_i / (t_i ** (1.0 - nus) + r * (np.sqrt(t_i) - 1.0) ** 2),) * 2,
         "hm": lambda: (_harmonic_diag(t_i, nus),) * 2,
         "I": lambda: (None, None),
     })

@@ -144,12 +144,13 @@ def test_verify_pair_mode_rejects_indefinite(tmp_path, capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
-def write_random_pair(tmp_path, dim, seed):
+def write_random_pair(tmp_path, dim, seed, big_m=10.0):
+    # A and B with independent random eigenvectors and spectra in [1, big_m]
     rng = np.random.default_rng(seed)
     paths = []
     for tag in ("a", "b"):
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-        lam = np.concatenate(([1.0, 10.0], rng.uniform(1.0, 10.0, dim - 2)))
+        lam = np.concatenate(([1.0, big_m], rng.uniform(1.0, big_m, dim - 2)))
         mat = q @ np.diag(lam) @ q.T
         paths.append(tmp_path / f"{tag}.json")
         save_matrix(SymMatrix.from_array(0.5 * (mat + mat.T)), paths[-1])
@@ -172,6 +173,18 @@ def test_verify_pair_mode_matches_lapack_reference(tmp_path):
         assert check["worst_margin"] == pytest.approx(worst, abs=1e-10 * big_m)
         assert min(abs(check["worst_instance"]["nu"] - nu) for nu in nus) <= 1e-12
     assert code == (1 if total else 0)
+
+
+def test_verify_pair_mode_at_large_h(tmp_path):
+    # spectra in [1, 1e8]: t spans about 1e16, and the refined harmonic
+    # route, read off the frame without dividing by t, is not refused, so
+    # the report holds every pair check
+    out = tmp_path / "pair.json"
+    assert main(["verify", "--pair", *write_random_pair(tmp_path, 4, 11, big_m=1e8), "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert [c["name"] for c in doc["checks"]] == list(verify.PAIR_CHECK_NAMES)
+    assert [c["violations"] for c in doc["checks"]] == [0] * 4
+    assert "errors" not in doc
 
 
 @pytest.mark.parametrize(

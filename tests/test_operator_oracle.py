@@ -158,6 +158,23 @@ def test_reverse_ratio_matches_high_precision_oracle_at_large_h(seed, dim, nu, h
     assert res.margins["reverse_ratio"] == pytest.approx(float(want), abs=5e-3 * res.tol)
 
 
+@pytest.mark.parametrize("h", [1e8, 1e10])
+@pytest.mark.parametrize("seed,dim,nu", [(3, 2, 0.4), (4, 3, 0.7), (6, 4, 0.3), (7, 4, 0.5), (8, 3, 1.0)])
+def test_chain_margins_match_high_precision_oracle_at_large_h(seed, dim, nu, h):
+    # t spans about h^2 here, beyond any inversion floor; the division-free
+    # harmonic diagonals keep every name of the chain within 1.3e-4 of the
+    # tolerance at h = 1e8 and 6.2e-4 at 1e10.  At 50 digits the
+    # oracle's own gm_vs_refined_hm reads -7.8e-24 at nu = 1, where it
+    # vanishes identically, so its sign is asserted only to 1e-20 scale
+    pair = gen_spd_pair(dim, 1.0, h, np.random.default_rng(seed))
+    res = check_refined_chain(pair, nu)
+    want = mp_chain_margins(to_mp(pair.a.entries), to_mp(pair.b.entries), nu)
+    assert sorted(res.margins) == sorted(want)
+    for name, margin in res.margins.items():
+        assert margin == pytest.approx(float(want[name]), abs=1e-2 * res.tol), name
+        assert float(want[name]) >= -1e-20 * res.scale, name
+
+
 def mp_harmonic(a, b, nu):
     return mp_sym_power((1 - nu) * mp_sym_power(a, -1) + nu * mp_sym_power(b, -1), -1)
 

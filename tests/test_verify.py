@@ -511,24 +511,10 @@ def test_suite_records_errors_and_continues(monkeypatch):
 def test_conditioning_sweep_has_no_false_violations(h):
     # every checked inequality is a theorem, so at the default tolerance a
     # violation could only be roundoff; the harmonic links are read off the
-    # congruence frame instead of inverting matrices of condition up to h^2.
-    # From h = 1e8 the inversion floor refuses refined_chain (next test), and
-    # the other four checks are swept
-    checks = CHECK_NAMES if h < 1e8 else tuple(c for c in CHECK_NAMES if c != "refined_chain")
-    report = run_suite(SuiteConfig(trials=200, big_m=h, checks=checks))
+    # congruence frame instead of inverting matrices of condition up to h^2
+    report = run_suite(SuiteConfig(trials=200, big_m=h))
     assert not report.errors
-    assert [(c.name, c.violations) for c in report.checks] == [(name, 0) for name in checks]
-
-
-def test_refined_chain_at_h_1e8_is_refused_by_the_inversion_floor():
-    # t spans about h^2 = 1e16, beyond the 1e-12 relative floor on its
-    # smallest entry: every chunk is an error, none reports a violation
-    report = run_suite(SuiteConfig(trials=200, big_m=1e8, checks=("refined_chain",)))
-    agg = report.checks[0]
-    assert (agg.violations, agg.results) == (0, 0)
-    assert len(report.errors) == 4
-    for error in report.errors:
-        assert "below inversion floor in check refined_chain instance" in error["message"]
+    assert [(c.name, c.violations) for c in report.checks] == [(name, 0) for name in CHECK_NAMES]
 
 
 @pytest.mark.parametrize("h", [10.0, 1e3])
@@ -546,13 +532,17 @@ def test_frame_harmonic_margins_match_explicit_inverse(h):
                 assert got.margins[name] == pytest.approx(want[name], abs=got.tol), (k, nu, name)
 
 
-def test_harmonic_route_refuses_unresolved_frame_spectrum():
-    # T = A^-1/2 B A^-1/2 has spectrum {1e-13, 1}: the route divides by t,
-    # and t is below the inversion floor relative to the largest t
+def test_harmonic_route_resolves_widely_spread_frame_spectrum():
+    # T = A^-1/2 B A^-1/2 has spectrum {1e-13, 1}, which spans more than a
+    # 1e-12 relative inversion floor: the routes' diagonals divide by nothing
+    # small, so the chain stays defined, and with A = I and B diagonal every
+    # link is an equality at t = 1, so every margin is exactly 0
     pair = diag_pair([1.0, 1.0], [1e-13, 1.0])
-    with pytest.raises(SingularMatrixError, match=r"refined_chain instance \(index=4, dim=2\)"):
-        check_refined_chain(pair, 0.5, index=4)
-    # the checks without a harmonic route stay defined
+    for nu in (0.0, 0.3, 0.5, 1.0):
+        got = check_refined_chain(pair, nu)
+        for name, margin in got.margins.items():
+            assert math.isfinite(margin) and abs(margin) <= got.tol, (nu, name, margin)
+    # and so do the checks without a harmonic route
     assert check_reverse_ratio(pair, 0.5).margins["reverse_ratio"] >= 0.0
 
 
@@ -704,13 +694,12 @@ def _exhaustive(monkeypatch, seen=None):
 @pytest.mark.parametrize("h", [10.0, 1e4, 1e6, 1e8, 1e10])
 def test_screen_bounds_hold_every_margin(monkeypatch, h):
     # every margin, solved, lies in the bounds that the screen read off the
-    # frame diagonals; refined_chain is refused from h = 1e8 (see above)
+    # frame diagonals
     seen = []
     _exhaustive(monkeypatch, seen)
-    checks = verify.PAIR_CHECK_NAMES if h < 1e8 else verify.PAIR_CHECK_NAMES[1:]
     for dim in (2, 3, 4, 8, 12):
         cfg = SuiteConfig(big_m=h, dims=(dim,)).validate()
-        for check in checks:
+        for check in verify.PAIR_CHECK_NAMES:
             seen.clear()
             _, margins, _ = verify._eval_pair_chunk(cfg, check, dim, list(range(64)))
             screened = [name for name in margins if name != "refined_gm_vs_gm"]
@@ -788,11 +777,9 @@ def test_each_margin_matrix_matches_its_frame_form(monkeypatch, h):
     _exhaustive(monkeypatch)
     monkeypatch.setattr(verify, "_screen", capture)
     monkeypatch.setattr(verify, "_eigvals_stack", keep)
-    # refined_chain is refused from h = 1e8 (see above)
-    checks = verify.PAIR_CHECK_NAMES if h < 1e8 else verify.PAIR_CHECK_NAMES[1:]
     for dim in (2, 3, 4, 8, 12):
         cfg = SuiteConfig(big_m=h, dims=(dim,)).validate()
-        for check in checks:
+        for check in verify.PAIR_CHECK_NAMES:
             seen.clear()
             verify._eval_pair_chunk(cfg, check, dim, list(range(64)))
             (d, size, shift, frame), stack = seen
