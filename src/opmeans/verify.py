@@ -41,10 +41,14 @@ of signed terms that gives both its frame diagonal and the matrix itself.
 The kernel brackets every margin from that diagonal and solves, by
 matrices._eigvals_stack (LAPACK, no eigenvectors, lower triangle only; the
 terms are symmetric, so every matrix is exactly symmetric), only those that
-can be their name's worst or a violation.  Elsewhere a margin array holds a
-certified lower bound, so the worst margin, its instance and the violation
-count are those of solving them all.  The state-vector margins need one
-LAPACK eigendecomposition per chunk (matrices._eigvecs_stack).
+can be their check's worst or a violation: a report entry is the worst over
+all of a check's names, so a margin above a sibling name's upper bound is
+never read.  Elsewhere a margin array holds a certified lower bound, so the
+worst margin, its instance and the violation count are those of solving them
+all.  The check_* functions report every name's margin and screen each name
+against its own worst, so they solve their one matrix per name always.  The
+state-vector margins need one LAPACK eigendecomposition per chunk
+(matrices._eigvecs_stack).
 """
 
 from __future__ import annotations
@@ -339,13 +343,19 @@ def gen_spd_pair(dim, m, big_m, rng) -> SpdPair:
     return SpdPair.from_matrices(a, b)
 
 
-def gen_unit_vector(dim, rng) -> UnitVector:
+def _draw_unit(dim, rng):
+    """The coordinates of gen_unit_vector: a Gaussian draw, redrawn while its
+    norm is below 1e-8, divided by its norm."""
     v = rng.standard_normal(dim)
     norm = np.linalg.norm(v)
     while norm < 1e-8:
         v = rng.standard_normal(dim)
         norm = np.linalg.norm(v)
-    return UnitVector(v / norm)
+    return v / norm
+
+
+def gen_unit_vector(dim, rng) -> UnitVector:
+    return UnitVector(_draw_unit(dim, rng))
 
 
 def _nu_table(base, h):
@@ -446,12 +456,15 @@ def _eig_bracket(d, t, low, top):
             np.minimum.reduce(np.maximum(at_low, at_top), axis=1))
 
 
-def _candidates(lo, hi, tols):
+def _candidates(lo, hi, tols, group):
     """Mask (N, P, J) of the margins, bounded by lo and hi (N, P, J) for N
-    names, that can be their name's worst over the (P, J) table or a
-    violation of tols (P, 1): those whose lower bound is not above both the
-    name's smallest upper bound and -tol.  A NaN bound makes a candidate."""
-    return ~(lo > np.maximum(np.minimum.reduce(hi.reshape(len(hi), -1), axis=1)[:, None, None], -tols))
+    names in the groups group (N,), that can be their group's worst over the
+    (P, J) table or a violation of tols (P, 1): those whose lower bound is not
+    above both the smallest upper bound of any name in their group and -tol.
+    A NaN bound makes a candidate of every margin in its group."""
+    least = np.minimum.reduce(hi.reshape(len(hi), -1), axis=1)
+    least = np.where(group[:, None] == group, least, np.inf).min(axis=1)
+    return ~(lo > np.maximum(least[:, None, None], -tols))
 
 
 def _screen(d, size, shift, margins, frame, t, tols):
@@ -460,8 +473,9 @@ def _screen(d, size, shift, margins, frame, t, tols):
 
     Matrix k is W diag(d[k]) W^T + shift[k] I up to roundoff, with d and size
     (K, n, P, J), size the sums of the magnitudes of the terms of d, and shift
-    (K, P, J).  margins holds (k, c) per margin: lambda_min of matrix k, or
-    c (P, 1) - lambda_max when c is given.  t is (n, P, 1) and tols (P, 1).
+    (K, P, J).  margins holds (k, c, g) per margin: lambda_min of matrix k,
+    or c (P, 1) - lambda_max when c is given, screened against the worst of
+    the margins that share its group g.  t is (n, P, 1) and tols (P, 1).
     The bounds of _eig_bracket are widened by
     8 n eps ((1 + sqrt(h)) ||A|| max_i size_i + |shift| + |c|), and a row is
     needed where some margin on it is one of the _candidates.
@@ -475,15 +489,17 @@ def _screen(d, size, shift, margins, frame, t, tols):
     slack = (unit * (1.0 + np.sqrt(h)) * frame["top_a"])[:, None] * size.max(axis=1) + unit * np.abs(shift)
     lo = lo - slack + shift
     hi = hi + slack + shift
-    name_k = np.array([k for k, _ in margins])
-    largest = np.array([int(c is not None) for _, c in margins])
+    name_k = np.array([k for k, _, _ in margins])
+    largest = np.array([int(c is not None) for _, c, _ in margins])
+    groups = [g for _, _, g in margins]
+    group = np.array([groups.index(g) for g in groups])
     name_lo = lo[largest, name_k]
     name_hi = hi[largest, name_k]
-    for i, (_, c) in enumerate(margins):
+    for i, (_, c, _) in enumerate(margins):
         if c is not None:
             name_lo[i], name_hi[i] = c - name_hi[i] - unit * np.abs(c), c - name_lo[i] + unit * np.abs(c)
     need = np.zeros((k_count, p_count * j_count), dtype=bool)
-    np.logical_or.at(need, name_k, _candidates(name_lo, name_hi, tols).reshape(len(margins), -1))
+    np.logical_or.at(need, name_k, _candidates(name_lo, name_hi, tols, group).reshape(len(margins), -1))
     return name_lo, need
 
 
@@ -508,7 +524,7 @@ def _lazy(makers):
     return lambda name: made[name] if name in made else made.setdefault(name, makers[name]())
 
 
-def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
+def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label, by_name=False):
     """Margins (name -> (P, J)) and tolerances (P, 1) of each pair check in
     checks, as a dict check -> (margins, tols).
 
@@ -524,11 +540,15 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
     matrix's one term list over its operands' frame diagonals (d), their
     term sizes, the coefficient of I (the shift) and the operand matrices,
     which make W diag(d) W^T + shift I up to roundoff.  _screen bounds each
-    margin from d and keeps those that can be their name's worst over the
-    table or a violation; only their matrices are formed, on their rows, and
-    solved in one _eigvals_stack call.  Every other margin is reported as
-    its lower bound, above its name's worst and above -tol, so the worst
-    margin, its instance and the violation count are those of solving all.
+    margin from d and keeps those that can be their check's worst over the
+    table (the worst over all of its names) or a violation; only their
+    matrices are formed, on their rows, and solved in one _eigvals_stack
+    call, and a matrix that two checks share is kept where either needs it.
+    Every other margin is reported as its lower bound, above its check's
+    worst and above -tol, so the worst margin, its instance and the
+    violation count are those of solving all.  With by_name, each margin is
+    screened against its own name's worst instead, so that at one
+    (instance, nu) every margin is solved.
     """
     a, b, w, t = frame["a"], frame["b"], frame["w"], frame["t"]
     p_count, j_count = nus.shape
@@ -558,7 +578,8 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
     })
     specs = [(check,) + row for check in checks for row in _PAIR_MARGINS[check]]
     mats = list(dict.fromkeys(terms for _, _, terms, _ in specs if len(terms) > 1))
-    screened = [(mats.index(terms), c and value(c)) for _, _, terms, c in specs if len(terms) > 1]
+    screened = [(mats.index(terms), c and value(c), (check, name) if by_name else check)
+                for check, name, terms, c in specs if len(terms) > 1]
     d = np.stack([_sum_terms(terms, lambda op: value(op)[0], value) for terms in mats])
     size = np.stack([_sum_terms(terms, lambda op: value(op)[1], lambda name: np.abs(value(name)), signed=False)
                      for terms in mats])
@@ -615,7 +636,7 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label):
 
     # each screened margin: solved where kept, its lower bound elsewhere
     flat = name_lo.reshape(len(screened), -1)
-    for i, (k, c) in enumerate(screened):
+    for i, (k, c, _) in enumerate(screened):
         ends = lam[starts[k]:starts[k + 1], int(c is not None)]
         flat[i, rows[kept[k]]] = ends if c is None else at_rows(c)[kept[k]] - ends
     solved = iter(name_lo)
@@ -689,8 +710,9 @@ def _check_pair(check, pair, nu, rel_tol, seed, index):
         return f"index={index}, dim={pair.n}"
 
     frame = _pair_frame(pair, f"check {check}", label)
+    # every name's margin is reported, so each is screened against its own
     (margins, tols), = _pair_margins(
-        (check,), frame, np.array([pair.m]), np.array([pair.big_m]), nus, rel_tol, label
+        (check,), frame, np.array([pair.m]), np.array([pair.big_m]), nus, rel_tol, label, by_name=True
     ).values()
     return _result(check, pair.n, nu, margins, frame["scale"][0], tols, seed, index)
 
@@ -774,7 +796,7 @@ def _eval_hm_chunk(cfg, dim, indices):
         u, g = _draw_spd(rng, dim, cfg.m, cfg.big_m)
         interior.append(u)
         gauss.append(g)
-        vecs.append(gen_unit_vector(dim, rng).coords)
+        vecs.append(_draw_unit(dim, rng))
     lam, q = _eigvecs_stack(_spd_from_draws(np.stack(interior), np.stack(gauss), cfg.m, cfg.big_m))
     if lam[:, 0].min() <= 0.0:
         raise SingularMatrixError("generated matrix is not positive definite")

@@ -664,26 +664,49 @@ def test_margin_stacks_are_exactly_symmetric(monkeypatch):
     assert sizes[-1][0] == verify.__name__ and sizes[-1][1] > 0
 
 
+def _lapack_counts(monkeypatch, cfg):
+    """The number of matrices that run_suite(cfg) sends to LAPACK's
+    eigvalsh, per module that sends them."""
+    real = matrices._eigvals_stack
+    solved = {}
+
+    def counting(module):
+        def solve(stack):
+            solved[module.__name__] = solved.get(module.__name__, 0) + len(stack)
+            return real(stack)
+
+        return solve
+
+    for module in (matrices, means, verify):
+        monkeypatch.setattr(module, "_eigvals_stack", counting(module))
+    run_suite(cfg)
+    return solved
+
+
 def test_screen_sends_few_margin_matrices_to_lapack(monkeypatch):
     # a deterministic guard on the screen: solving every margin of the
     # default suite sends 193,000 matrices to LAPACK (frames and bridges
-    # included); the screen keeps 45,947
-    real = matrices._eigvals_stack
-    solved = [0]
+    # included); screening each margin against its check's worst keeps
+    # 30,671, and against its own name's worst it kept 45,947
+    assert sum(_lapack_counts(monkeypatch, SuiteConfig()).values()) <= 0.17 * 193_000
 
-    def counting(stack):
-        solved[0] += len(stack)
-        return real(stack)
 
-    for module in (matrices, means, verify):
-        monkeypatch.setattr(module, "_eigvals_stack", counting)
-    run_suite(SuiteConfig())
-    assert solved[0] <= 0.35 * 193_000
+def test_screen_sends_few_large_margin_matrices_to_lapack(monkeypatch):
+    # at n = 12 the screen keeps 2,941 (4,166 against each name's worst)
+    assert sum(_lapack_counts(monkeypatch, SuiteConfig(trials=64, dims=(12,))).values()) <= 3_200
+
+
+def test_baseline_reverses_solves_few_margins(monkeypatch):
+    # baseline_difference's constant-dominated margins are far above
+    # baseline_ratio's: screened against their check's worst, 290 of the
+    # default suite's margin matrices are solved (15,566 against each name's)
+    solved = _lapack_counts(monkeypatch, SuiteConfig(checks=("baseline_reverses",)))
+    assert solved[verify.__name__] <= 1_000
 
 
 def _exhaustive(monkeypatch, seen=None):
     """Make the screen keep every margin; seen collects its (lo, hi) bounds."""
-    def every_margin(lo, hi, tols):
+    def every_margin(lo, hi, tols, *_):
         if seen is not None:
             seen.append((lo.copy(), hi.copy()))
         return np.ones(lo.shape, dtype=bool)
@@ -728,7 +751,7 @@ def _body(report):
 )
 def test_screened_suite_matches_solving_every_margin(monkeypatch, cfg):
     # a margin the screen does not solve is reported as its lower bound, which
-    # is above its name's worst and -tol: the report body is that of solving
+    # is above its check's worst and -tol: the report body is that of solving
     # every margin matrix, bit for bit
     screened = _body(run_suite(cfg))
     _exhaustive(monkeypatch)
@@ -736,12 +759,16 @@ def test_screened_suite_matches_solving_every_margin(monkeypatch, cfg):
 
 
 def test_screened_pair_calls_match_solving_every_margin(monkeypatch):
-    # run_pair screens all four pair checks in one call, where refined_chain
-    # and reverse_difference share the AM - GM - 2r bridge matrix; check_*
-    # screens one check at one weight
+    # run_pair screens all four pair checks in one call, each against its own
+    # worst, where refined_chain and reverse_difference share the
+    # AM - GM - 2r bridge matrix; check_* screens one check at one weight.
+    # At h = 1e8 and 1e10 refined_chain's worst is near zero, at roundoff,
+    # and the other checks' margins are orders of magnitude larger, so one
+    # threshold shared by the four checks of a run_pair call would fail here
     pairs = [
         gen_spd_pair(dim, 1.0, h, rng_for(seed, "refined_chain", 0))
-        for seed, (dim, h) in enumerate([(2, 10.0), (3, 1e4), (4, 1e6), (8, 10.0), (12, 1e3)])
+        for seed, (dim, h) in enumerate([(2, 10.0), (3, 1e4), (4, 1e6), (8, 10.0), (12, 1e3),
+                                         (4, 1e8), (12, 1e8), (4, 1e10), (12, 1e10)])
     ]
 
     def outcomes():
@@ -756,6 +783,25 @@ def test_screened_pair_calls_match_solving_every_margin(monkeypatch):
     screened = outcomes()
     _exhaustive(monkeypatch)
     assert screened == outcomes()
+
+
+def test_check_functions_solve_every_screened_margin(monkeypatch):
+    # check_* report every name's margin at their one (instance, nu), so each
+    # name is screened against its own worst: all four screened matrices of
+    # refined_chain (refined_gm_vs_gm is exact) reach LAPACK in one stack
+    sizes = []
+
+    def keep(stack):
+        sizes.append(len(stack))
+        return matrices._eigvals_stack(stack)
+
+    monkeypatch.setattr(verify, "_eigvals_stack", keep)
+    for h in (10.0, 1e8):
+        pair = gen_spd_pair(4, 1.0, h, rng_for(0, "refined_chain", 0))
+        for nu in (0.0, 0.3, 0.5, 1.0):
+            sizes.clear()
+            check_refined_chain(pair, nu)
+            assert sizes == [4], (h, nu)
 
 
 @pytest.mark.parametrize("h", [10.0, 1e4, 1e6, 1e8, 1e10])
@@ -877,11 +923,9 @@ def test_non_finite_pair_margin_is_a_numerical_error(monkeypatch):
 
 
 def test_non_finite_state_vector_margin_is_a_numerical_error(monkeypatch):
-    class NanVector:
-        def __init__(self, dim, rng):
-            self.coords = np.full(dim, np.nan)
-
-    monkeypatch.setattr(verify, "gen_unit_vector", NanVector)
+    # the chunk draws its state vectors through the helper that
+    # gen_unit_vector wraps
+    monkeypatch.setattr(verify, "_draw_unit", lambda dim, rng: np.full(dim, np.nan))
     report = run_suite(SuiteConfig(trials=4, dims=(3,), checks=("holder_mccarthy",)))
     assert not report.passed
     assert len(report.errors) == 1
