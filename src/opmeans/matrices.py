@@ -380,6 +380,8 @@ def load_matrix(path) -> SymMatrix:
     n = doc["n"]
     if type(n) is not int:  # not bool, an int subclass
         raise ValueError(f"field 'n' must be an integer, got {n!r}")
+    if not MIN_DIM <= n <= MAX_DIM:
+        raise ValueError(f"field 'n' must be in [{MIN_DIM}, {MAX_DIM}], got {n}")
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ValueError(f"field 'entries' must hold exactly n*n = {n * n} numbers")

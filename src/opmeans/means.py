@@ -129,11 +129,13 @@ def _diagonalize_pairs(a, b, where, label):
     from one _eigvals_stack call on [A; B].  With the Cholesky factors
     A = L_A L_A^T and B = L_B L_B^T and the SVD G = L_A^-1 L_B = U diag(s) V^T,
     the frame keeps t = s^2 (ascending) and W = L_A U; the means do not
-    depend on the signs of U's columns.  C = G G^T is never formed, so its
-    condition is never squared, and no mean inverts a matrix.  A or B not
-    positive definite, or without a Cholesky factor, raises
-    SingularMatrixError naming the matrix and the first such instance as
-    "<where> instance (<label(p)>)"; an SVD that does not converge raises
+    depend on the signs of U's columns.  Each step is one batched LAPACK call
+    (numpy.linalg cholesky, solve for G, svd); numpy has no triangular solve,
+    and LU with partial pivoting on L_A is as accurate here.  C = G G^T is
+    never formed, so its condition is never squared, and no mean inverts a
+    matrix.  A or B not positive definite, or without a Cholesky factor,
+    raises SingularMatrixError naming the matrix and the first such instance
+    as "<where> instance (<label(p)>)"; an SVD that does not converge raises
     NumericalError naming where.
     """
     p = len(a)
@@ -154,7 +156,7 @@ def _diagonalize_pairs(a, b, where, label):
     chol_a = _cholesky(a, "A", context)
     chol_b = _cholesky(b, "B", context)
     try:
-        u, s, _ = np.linalg.svd(_solve_lower(chol_a, chol_b))
+        u, s, _ = np.linalg.svd(np.linalg.solve(chol_a, chol_b))
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"frame SVD failed ({err}) in {where}") from err
     return {
@@ -171,32 +173,20 @@ def _diagonalize_pairs(a, b, where, label):
 
 
 def _cholesky(a, name, context):
-    """Lower Cholesky factors L of a (P, n, n) SPD stack, A = L L^T, column by
-    column; a pivot that is not positive raises SingularMatrixError naming
+    """Lower Cholesky factors L of a (P, n, n) SPD stack, A = L L^T, by one
+    LAPACK call; a matrix without a factor raises SingularMatrixError naming
     the matrix and the first such instance by context(p)."""
-    chol = np.array(a)
-    for k in range(a.shape[-1]):
-        pivot = chol[:, k, k]
-        bad = ~(pivot > 0.0)
-        if bad.any():
-            raise SingularMatrixError(
-                f"pair matrix {name} has no Cholesky factor (pivot {pivot[bad][0]:.3e}) "
-                f"in {context(int(np.argmax(bad)))}"
-            )
-        col = chol[:, k:, k] / np.sqrt(pivot)[:, None]
-        chol[:, k:, k] = col
-        chol[:, k + 1:, k + 1:] -= col[:, 1:, None] * col[:, None, 1:]
-    return np.tril(chol)
-
-
-def _solve_lower(chol, rhs):
-    """L^-1 X for lower triangular L (P, n, n) and X (P, n, m), by forward
-    substitution."""
-    x = np.array(rhs)
-    for k in range(x.shape[1]):
-        x[:, k] /= chol[:, k, k, None]
-        x[:, k + 1:] -= chol[:, k + 1:, k, None] * x[:, k, None]
-    return x
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        for k, mat in enumerate(a):
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError as err:
+                raise SingularMatrixError(
+                    f"pair matrix {name} has no Cholesky factor ({err}) in {context(k)}"
+                ) from err
+        raise
 
 
 def _pair_frame(pair, where, label=None):

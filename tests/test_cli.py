@@ -257,6 +257,19 @@ def test_verify_pair_mode_rejects_non_numeric_file_fields(tmp_path, capsys, doc)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [-2, 1, 65])
+def test_verify_pair_mode_rejects_a_dimension_out_of_range(tmp_path, capsys, n):
+    # n = -2 has n*n = 4 entries: without the range check it reaches numpy's
+    # reshape, whose message names no field
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": n, "entries": [1.0, 0.0, 0.0, 1.0]}))
+    _, good = write_random_pair(tmp_path, 2, 3)
+    assert main(["verify", "--pair", str(bad), good]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'n' must be in [2, 64]")
+    assert "Traceback" not in err
+
+
 def test_verify_pair_mode_margin_eigensolve_failure_exits_3(monkeypatch, tmp_path, capsys):
     pair = write_random_pair(tmp_path, 4, 17)
 
