@@ -43,16 +43,22 @@ matrices._eigvals_stack (LAPACK, no eigenvectors, lower triangle only; the
 terms are symmetric, so every matrix is exactly symmetric), only those that
 can be their check's worst or a violation: a report entry is the worst over
 all of a check's names, so a margin above a sibling name's upper bound is
-never read.  Elsewhere a margin array holds a certified lower bound, so the
+never read.  It solves them in two rounds.  The first solves one anchor
+weight per margin matrix and instance; by Weyl's theorem the anchor's
+eigenvalues then bound the matrix at every other weight of the instance,
+within the frame bracket of the difference of the two frame diagonals, and
+the second round solves only the margins that these tighter bounds leave
+undecided.  Elsewhere a margin array holds a certified lower bound, so the
 worst margin, its instance and the violation count are those of solving them
 all.  The check_* functions report every name's margin and screen each name
-against its own worst, so they solve their one matrix per name always.  The
-state-vector margins need one LAPACK eigendecomposition per chunk
-(matrices._eigvecs_stack).
+against its own worst, so they solve their one matrix per name always, in
+the first round.  The state-vector margins need one LAPACK
+eigendecomposition per chunk (matrices._eigvecs_stack).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -431,7 +437,8 @@ class _Accumulator:
 # to (A = W W^T within 8 n eps ||A||, B = W diag(t) W^T within
 # 8 n eps sqrt(h) ||B||), the roundoff of forming a margin matrix and
 # LAPACK's backward error; tests/test_verify.py checks that every solved
-# margin stays inside the widened bounds from h = 10 to 1e10.
+# margin stays inside the widened bounds of both rounds of the screen from
+# h = 10 to 1e10.
 _SCREEN_SLACK = 8.0 * np.finfo(float).eps
 
 
@@ -447,9 +454,13 @@ def _eig_bracket(d, t, low, top):
     W diag(t) W^T = B; low and top (2, P) enclose the spectra of A and of B.
     A NaN in d makes its bounds NaN.
     """
-    q = np.stack((d, d / t))
+    q = np.empty((2,) + d.shape)
+    q[0] = d
+    np.divide(d, t, out=q[1])
     # axis 0: smallest or largest; axis 1: the frame of A or of B
-    ext = np.stack((np.minimum.reduce(q, axis=2), np.maximum.reduce(q, axis=2)))
+    ext = np.empty((2,) + q.shape[:2] + q.shape[3:])
+    np.minimum.reduce(q, axis=2, out=ext[0])
+    np.maximum.reduce(q, axis=2, out=ext[1])
     at_low = low[:, None, :, None] * ext
     at_top = top[:, None, :, None] * ext
     return (np.maximum.reduce(np.minimum(at_low, at_top), axis=1),
@@ -467,25 +478,40 @@ def _candidates(lo, hi, tols, group):
     return ~(lo > np.maximum(least[:, None, None], -tols))
 
 
-def _screen(d, size, shift, margins, frame, t, tols):
-    """Lower bounds (N, P, J) on N eigenvalue margins, and the mask (K, P * J)
-    of the table rows where each of K margin matrices must be solved.
+def _screen(d, size, shift, margins, frame, t, tols, solve):
+    """N eigenvalue margins (N, P, J) of K margin matrices: solved where they
+    can be their group's worst or a violation, a certified lower bound
+    elsewhere.
 
     Matrix k is W diag(d[k]) W^T + shift[k] I up to roundoff, with d and size
     (K, n, P, J), size the sums of the magnitudes of the terms of d, and shift
     (K, P, J).  margins holds (k, c, g) per margin: lambda_min of matrix k,
     or c (P, 1) - lambda_max when c is given, screened against the worst of
     the margins that share its group g.  t is (n, P, 1) and tols (P, 1).
-    The bounds of _eig_bracket are widened by
-    8 n eps ((1 + sqrt(h)) ||A|| max_i size_i + |shift| + |c|), and a row is
-    needed where some margin on it is one of the _candidates.
+    solve(need, lam) writes lambda_min and lambda_max of matrix k on each
+    table row where need[k] (P * J) holds into lam[:, k] (2, K, P * J).
+
+    The bounds of _eig_bracket are widened by the slack
+    8 n eps ((1 + sqrt(h)) ||A|| max_i size_i + |shift|), and by 8 n eps |c|
+    for c - lambda_max, and the margins that are _candidates are solved in
+    two rounds.  Round 1 solves one anchor weight a per matrix and instance
+    among them: the one with the largest upper bound of lambda_max where a
+    margin reads c - lambda_max of the matrix, else the one with the smallest
+    lower bound of lambda_min.  By Weyl's theorem (Horn and Johnson, Matrix
+    Analysis, Thm 4.3.1) every eigenvalue of matrix k at weight j lies then
+    within the _eig_bracket of W diag(d_j - d_a) W^T plus shift_j - shift_a,
+    widened by both slacks, of the anchor's.  On round 1's candidates that
+    bracket is intersected with the first, an anchor's margins are exact,
+    and round 2 solves those that are still candidates.  A NaN anchor makes
+    NaN bounds, so its whole row stays a candidate.
     """
     k_count, _, p_count, j_count = d.shape
     unit = _SCREEN_SLACK * len(t)
     h = frame["scale"] / frame["m_hat"]
     widen = unit * frame["top"]
     widen[1] *= np.sqrt(h)
-    lo, hi = _eig_bracket(d, t, frame["low"] - widen, frame["top"] + widen)
+    low, top = frame["low"] - widen, frame["top"] + widen
+    lo, hi = _eig_bracket(d, t, low, top)
     slack = (unit * (1.0 + np.sqrt(h)) * frame["top_a"])[:, None] * size.max(axis=1) + unit * np.abs(shift)
     lo = lo - slack + shift
     hi = hi + slack + shift
@@ -493,14 +519,62 @@ def _screen(d, size, shift, margins, frame, t, tols):
     largest = np.array([int(c is not None) for _, c, _ in margins])
     groups = [g for _, _, g in margins]
     group = np.array([groups.index(g) for g in groups])
-    name_lo = lo[largest, name_k]
-    name_hi = hi[largest, name_k]
-    for i, (_, c, _) in enumerate(margins):
-        if c is not None:
-            name_lo[i], name_hi[i] = c - name_hi[i] - unit * np.abs(c), c - name_lo[i] + unit * np.abs(c)
-    need = np.zeros((k_count, p_count * j_count), dtype=bool)
-    np.logical_or.at(need, name_k, _candidates(name_lo, name_hi, tols, group).reshape(len(margins), -1))
-    return name_lo, need
+    # the margins c - lambda_max, and their constants (C, P, 1)
+    by_c = [i for i, (_, c, _) in enumerate(margins) if c is not None]
+    const = np.stack([margins[i][1] for i in by_c]) if by_c else None
+    pad = unit * np.abs(const) if by_c else None
+
+    def name_bounds(lo, hi):
+        name_lo, name_hi = lo[largest, name_k], hi[largest, name_k]
+        if by_c:
+            name_lo[by_c], name_hi[by_c] = const - name_hi[by_c] - pad, const - name_lo[by_c] + pad
+        return name_lo, name_hi
+
+    def needed(cand):
+        need = np.zeros((k_count, p_count, j_count), dtype=bool)
+        np.logical_or.at(need, name_k, cand)
+        return need
+
+    def solved_margins():
+        value = lam_table[largest, name_k]
+        if by_c:
+            value[by_c] = const - value[by_c]
+        return value
+
+    name_lo, name_hi = name_bounds(lo, hi)
+    cand = _candidates(name_lo, name_hi, tols, group)
+    need = needed(cand)
+    # round 1: the anchor weight of each matrix and instance, (K, P)
+    top_side = np.zeros((k_count, 1, 1), dtype=bool)
+    top_side[name_k[by_c]] = True
+    anchor = np.where(need, np.where(top_side, hi[1], -lo[0]), -np.inf).argmax(axis=2)
+    solved = np.zeros_like(need)
+    solved[np.arange(k_count)[:, None], np.arange(p_count), anchor] = need.any(axis=2)
+    lam = np.zeros((2, k_count, p_count * j_count))
+    lam_table = lam.reshape(2, k_count, p_count, j_count)
+    solve(solved.reshape(k_count, -1), lam)
+    value = solved_margins()
+    k, p, j = np.nonzero(need & ~solved)
+    if len(k):
+        # round 2 on the other candidates: by Weyl, each eigenvalue differs
+        # from the anchor's by lambda_min to lambda_max of the difference
+        a = anchor[k, p]
+        step = (d[k, :, p, j] - d[k, :, p, a]).T[None, :, :, None]  # (1, n, M, 1)
+        w_lo, w_hi = _eig_bracket(step, t[:, p], low[:, p], top[:, p])
+        move = lam_table[:, k, p, a] + (shift[k, p, j] - shift[k, p, a])
+        both = slack[k, p, j] + slack[k, p, a]
+        lo[:, k, p, j] = np.maximum(lo[:, k, p, j], move + (w_lo[0, 0, :, 0] - both))
+        hi[:, k, p, j] = np.minimum(hi[:, k, p, j], move + (w_hi[1, 0, :, 0] + both))
+        name_lo, name_hi = name_bounds(lo, hi)
+        exact = solved[name_k]
+        name_lo = np.where(exact, value, name_lo)
+        cand &= _candidates(name_lo, np.where(exact, value, name_hi), tols, group)
+        rest = needed(cand) & ~solved
+        if rest.any():
+            solve(rest.reshape(k_count, -1), lam)
+            value = solved_margins()
+            solved |= rest
+    return np.where(solved[name_k], value, name_lo)
 
 
 def _sum_terms(terms, operand, coefficient, signed=True):
@@ -540,12 +614,14 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label, by_name=False):
     matrix's one term list over its operands' frame diagonals (d), their
     term sizes, the coefficient of I (the shift) and the operand matrices,
     which make W diag(d) W^T + shift I up to roundoff.  _screen bounds each
-    margin from d and keeps those that can be their check's worst over the
-    table (the worst over all of its names) or a violation; only their
-    matrices are formed, on their rows, and solved in one _eigvals_stack
-    call, and a matrix that two checks share is kept where either needs it.
-    Every other margin is reported as its lower bound, above its check's
-    worst and above -tol, so the worst margin, its instance and the
+    margin from d and solves those that can be their check's worst over the
+    table (the worst over all of its names) or a violation, in two rounds:
+    the anchor weights, then what the Weyl bounds from the anchors leave.
+    Each round's matrices are formed, on the rows it solves, and solved in
+    one _eigvals_stack call; where every candidate is an anchor there is no
+    second call.  A matrix that two checks share is kept where either needs
+    it.  Every other margin is reported as its lower bound, above its
+    check's worst and above -tol, so the worst margin, its instance and the
     violation count are those of solving all.  With by_name, each margin is
     screened against its own name's worst instead, so that at one
     (instance, nu) every margin is solved.
@@ -590,56 +666,56 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label, by_name=False):
         shift[k] = _sum_terms(terms, {"I": 1.0}.get, value)
     lowest = _lazy({"bridge": lambda: _eigvals_min_stack(bridge)[:, None]})
     exact = {spec[:2]: _sum_terms(spec[2], lowest, value) for spec in specs if len(spec[2]) == 1}
-    name_lo, need = _screen(d, size, shift, screened, frame, t_i, tols)
 
-    # the operands on every row that some matrix needs, made before the stack
-    # so that their temporaries and the stack are not held at once; then each
-    # matrix there, kept where it is needed
-    rows = np.flatnonzero(need.any(axis=0))
-    kept = need[:, rows]
-    counts = kept.sum(axis=1).tolist()
-    p, j = np.divmod(rows, j_count)
-    nu_rows = nus[p, j][:, None]
-    used = {op for k, terms in enumerate(mats) if counts[k] for _, _, op in terms}
-    formers = {
-        "am": lambda: _arithmetic_stack(a[p], b[p], nu_rows)[:, 0],
-        "gm": lambda: _geometric_stacks(w[p], t[p], nu_rows)[:, 0],
-        "rhm": lambda: _sym(_recon(w[p], value("rhm")[0][:, p, j].T)),
-        "hm": lambda: _harmonic_stack(w[p], t[p], nu_rows)[:, 0],
-        "bridge": lambda: bridge[p],
-        "I": lambda: np.eye(a.shape[-1]),
-    }
-    ops = {op: form() for op, form in formers.items() if op in used}
+    def solve(need, lam):
+        # the operands on every row that some matrix needs, made before the
+        # stack so that their temporaries and the stack are not held at once;
+        # then each matrix there, kept where it is needed
+        rows = np.flatnonzero(need.any(axis=0))
+        kept = need[:, rows]
+        counts = kept.sum(axis=1).tolist()
+        p, j = np.divmod(rows, j_count)
+        nu_rows = nus[p, j][:, None]
+        used = {op for k, terms in enumerate(mats) if counts[k] for _, _, op in terms}
+        formers = {
+            "am": lambda: _arithmetic_stack(a[p], b[p], nu_rows)[:, 0],
+            "gm": lambda: _geometric_stacks(w[p], t[p], nu_rows)[:, 0],
+            "rhm": lambda: _sym(_recon(w[p], value("rhm")[0][:, p, j].T)),
+            "hm": lambda: _harmonic_stack(w[p], t[p], nu_rows)[:, 0],
+            "bridge": lambda: bridge[p],
+            "I": lambda: np.eye(a.shape[-1]),
+        }
+        ops = {op: form() for op, form in formers.items() if op in used}
 
-    def at_rows(x):
-        return x[p, j if x.shape[1] > 1 else 0]
+        def at_rows(x):
+            return x[p, j if x.shape[1] > 1 else 0]
 
-    starts = np.cumsum([0] + counts).tolist()
-    stack = np.empty((starts[-1],) + a.shape[1:])
-    for k, terms in enumerate(mats):
-        if counts[k]:
-            matrix = _sum_terms(terms, ops.get, lambda name: at_rows(value(name))[:, None, None])
-            np.compress(kept[k], matrix, axis=0, out=stack[starts[k]:starts[k + 1]])
-            del matrix
-    del ops  # so that the eigensolve's peak memory holds the stack alone
+        starts = [0, *itertools.accumulate(counts)]
+        stack = np.empty((starts[-1],) + a.shape[1:])
+        for k, terms in enumerate(mats):
+            if counts[k]:
+                matrix = _sum_terms(terms, ops.get, lambda name: at_rows(value(name))[:, None, None])
+                np.compress(kept[k], matrix, axis=0, out=stack[starts[k]:starts[k + 1]])
+                del matrix
+        del ops  # so that the eigensolve's peak memory holds the stack alone
 
-    # one eigensolve; a matrix with a non-finite entry gets NaN margins
-    try:
-        lam = _eigvals_stack(stack)[:, [0, -1]]
-    except NumericalError:
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if finite.all():
-            raise
-        lam = np.full((len(stack), 2), np.nan)
-        if finite.any():
-            lam[finite] = _eigvals_stack(stack[finite])[:, [0, -1]]
+        # one eigensolve; a matrix with a non-finite entry gets NaN margins
+        try:
+            ends = _eigvals_stack(stack)[:, [0, -1]]
+        except NumericalError:
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            if finite.all():
+                raise
+            ends = np.full((len(stack), 2), np.nan)
+            if finite.any():
+                ends[finite] = _eigvals_stack(stack[finite])[:, [0, -1]]
+        k, i = np.nonzero(kept)  # in the order of the stack
+        lam[:, k, rows[i]] = ends.T
 
-    # each screened margin: solved where kept, its lower bound elsewhere
-    flat = name_lo.reshape(len(screened), -1)
-    for i, (k, c, _) in enumerate(screened):
-        ends = lam[starts[k]:starts[k + 1], int(c is not None)]
-        flat[i, rows[kept[k]]] = ends if c is None else at_rows(c)[kept[k]] - ends
-    solved = iter(name_lo)
+    # each screened margin: solved where the screen needs it, its lower bound
+    # elsewhere
+    flat = _screen(d, size, shift, screened, frame, t_i, tols, solve)
+    solved = iter(flat)
     result = {check: ({}, tols) for check in checks}
     for check, name, terms, _ in specs:
         result[check][0][name] = exact[check, name] if len(terms) == 1 else next(solved)

@@ -653,12 +653,13 @@ def test_margin_stacks_are_exactly_symmetric(monkeypatch):
     for module in (matrices, means, verify):
         monkeypatch.setattr(module, "_eigvals_stack", symmetric_only(module))
     # the margin matrices that the screen keeps reach LAPACK through verify,
-    # in every pair check
+    # in every pair check: each of the 16 chunks sends its anchors, and a
+    # second stack where the Weyl bounds leave margins to solve
     for check in verify.PAIR_CHECK_NAMES:
         sizes.clear()
         run_suite(SuiteConfig(checks=(check,)))
         margin_sizes = [size for name, size in sizes if name == verify.__name__]
-        assert len(margin_sizes) == 16 and min(margin_sizes) > 0, check
+        assert 16 <= len(margin_sizes) <= 32 and min(margin_sizes) > 0, check
     run_suite(SuiteConfig(trials=64, dims=(12,), big_m=1e8))
     verify.run_pair(gen_spd_pair(4, 1.0, 10.0, rng_for(0, "refined_chain", 0)))
     assert sizes[-1][0] == verify.__name__ and sizes[-1][1] > 0
@@ -686,14 +687,29 @@ def _lapack_counts(monkeypatch, cfg):
 def test_screen_sends_few_margin_matrices_to_lapack(monkeypatch):
     # a deterministic guard on the screen: solving every margin of the
     # default suite sends 193,000 matrices to LAPACK (frames and bridges
-    # included); screening each margin against its check's worst keeps
-    # 30,671, and against its own name's worst it kept 45,947
-    assert sum(_lapack_counts(monkeypatch, SuiteConfig()).values()) <= 0.17 * 193_000
+    # included); the screen with Weyl bounds from one anchor weight per
+    # matrix and instance sends 23,331, about 3% under the bound.  The
+    # Ostrowski bounds alone sent 30,671, and against each name's own worst
+    # 45,947
+    assert sum(_lapack_counts(monkeypatch, SuiteConfig()).values()) <= 24_000
 
 
 def test_screen_sends_few_large_margin_matrices_to_lapack(monkeypatch):
-    # at n = 12 the screen keeps 2,941 (4,166 against each name's worst)
-    assert sum(_lapack_counts(monkeypatch, SuiteConfig(trials=64, dims=(12,))).values()) <= 3_200
+    # at n = 12 the screen sends 2,021, about 4% under the bound (2,941 from
+    # the Ostrowski bounds alone, 4,166 against each name's worst)
+    assert sum(_lapack_counts(monkeypatch, SuiteConfig(trials=64, dims=(12,))).values()) <= 2_100
+
+
+@pytest.mark.parametrize("cfg,bound", [(SuiteConfig(), 4_400), (SuiteConfig(trials=64, dims=(12,)), 410)],
+                         ids=["default", "n-12"])
+def test_reverse_difference_solves_few_margins(monkeypatch, cfg, bound):
+    # reverse_difference's margins c - lambda_max vary smoothly in nu, and
+    # the Ostrowski bounds bracket them only within a factor of about h:
+    # they left 11,319 margin matrices to solve at default and 1,001 at
+    # n = 12.  Bounded by Weyl's theorem from the anchor weight, 4,154 and
+    # 383 are solved, about 6% and 7% under the bounds
+    cfg = SuiteConfig(**{**cfg.__dict__, "checks": ("reverse_difference",)})
+    assert _lapack_counts(monkeypatch, cfg)[verify.__name__] <= bound
 
 
 def test_baseline_reverses_solves_few_margins(monkeypatch):
@@ -716,8 +732,9 @@ def _exhaustive(monkeypatch, seen=None):
 
 @pytest.mark.parametrize("h", [10.0, 1e4, 1e6, 1e8, 1e10])
 def test_screen_bounds_hold_every_margin(monkeypatch, h):
-    # every margin, solved, lies in the bounds that the screen read off the
-    # frame diagonals
+    # every margin, solved, lies in the bounds of both rounds of the screen:
+    # those read off the frame diagonals, and those after the anchors are
+    # solved, which Weyl's theorem refines on every other weight
     seen = []
     _exhaustive(monkeypatch, seen)
     for dim in (2, 3, 4, 8, 12):
@@ -726,11 +743,12 @@ def test_screen_bounds_hold_every_margin(monkeypatch, h):
             seen.clear()
             _, margins, _ = verify._eval_pair_chunk(cfg, check, dim, list(range(64)))
             screened = [name for name in margins if name != "refined_gm_vs_gm"]
-            (lo, hi), = seen
-            assert len(lo) == len(screened)
-            for name, name_lo, name_hi in zip(screened, lo, hi):
-                value = margins[name]
-                assert (name_lo <= value).all() and (value <= name_hi).all(), (dim, check, name)
+            assert len(seen) == 2, (dim, check)
+            for round_, (lo, hi) in enumerate(seen, start=1):
+                assert len(lo) == len(screened)
+                for name, name_lo, name_hi in zip(screened, lo, hi):
+                    value = margins[name]
+                    assert (name_lo <= value).all() and (value <= name_hi).all(), (dim, check, name, round_)
 
 
 def _body(report):
@@ -746,8 +764,11 @@ def _body(report):
         SuiteConfig(seed=7, checks=verify.PAIR_CHECK_NAMES),
         SuiteConfig(trials=64, dims=(12,), checks=verify.PAIR_CHECK_NAMES),
         *(SuiteConfig(trials=200, big_m=h) for h in (1e2, 1e4, 1e6, 1e8, 1e10)),
+        SuiteConfig(trials=64, dims=(12, 16), big_m=1e8),
+        SuiteConfig(trials=250, dims=(3, 12)),
     ],
-    ids=["default", "seed-7", "n-12", "h-1e2", "h-1e4", "h-1e6", "h-1e8", "h-1e10"],
+    ids=["default", "seed-7", "n-12", "h-1e2", "h-1e4", "h-1e6", "h-1e8", "h-1e10", "n-12-16-h-1e8",
+         "ragged-3-12"],
 )
 def test_screened_suite_matches_solving_every_margin(monkeypatch, cfg):
     # a margin the screen does not solve is reported as its lower bound, which
@@ -808,13 +829,20 @@ def test_check_functions_solve_every_screened_margin(monkeypatch):
 def test_each_margin_matrix_matches_its_frame_form(monkeypatch, h):
     # the one assumption the screen rests on: every formed margin matrix is
     # W diag(d) W^T + shift I within the screen's slack, in the 2-norm, for
-    # the d, size and shift that its term list gives
+    # the d, size and shift that its term list gives.  Both rounds of the
+    # screen are checked: the stack of each solve(need, lam) call holds the
+    # matrices k where need[k] holds, k by k, in table order
     seen = []
     real_screen = verify._screen
 
-    def capture(d, size, shift, margins, frame, t, tols):
+    def capture(d, size, shift, margins, frame, t, tols, solve):
         seen.append((d, size, shift, frame))
-        return real_screen(d, size, shift, margins, frame, t, tols)
+
+        def recorded(need, lam):
+            seen.append(need.copy())
+            return solve(need, lam)
+
+        return real_screen(d, size, shift, margins, frame, t, tols, recorded)
 
     def keep(stack):
         seen.append(stack)
@@ -828,16 +856,22 @@ def test_each_margin_matrix_matches_its_frame_form(monkeypatch, h):
         for check in verify.PAIR_CHECK_NAMES:
             seen.clear()
             verify._eval_pair_chunk(cfg, check, dim, list(range(64)))
-            (d, size, shift, frame), stack = seen
+            (d, size, shift, frame), *rounds = seen
+            assert len(rounds) == 4, (dim, check)  # (need, stack) of both rounds
             w = frame["w"]
-            # every matrix on every row of the (P, J) table, in table order
-            formed = stack.reshape((len(d),) + d.shape[2:] + (dim, dim))
             ideal = np.einsum("pik,zkpj,plk->zpjil", w, d, w) + shift[..., None, None] * np.eye(dim)
-            error = np.linalg.norm(formed - ideal, 2, axis=(-2, -1))
             unit = verify._SCREEN_SLACK * dim
             root_h = np.sqrt(frame["scale"] / frame["m_hat"])
             slack = unit * ((1.0 + root_h) * frame["top_a"])[:, None] * size.max(axis=1) + unit * np.abs(shift)
-            assert (error <= slack).all(), (dim, check, (error / slack).max())
+            solved = np.zeros(d.shape[:1] + d.shape[2:], dtype=bool)
+            for need, stack in zip(rounds[::2], rounds[1::2]):
+                need = need.reshape(solved.shape)
+                assert not (need & solved).any()
+                solved |= need
+                error = np.linalg.norm(stack - ideal[need], 2, axis=(-2, -1))
+                assert (error <= slack[need]).all(), (dim, check, (error / slack[need]).max())
+            # every matrix on every row of the (P, J) table
+            assert solved.all()
             assert len(d) == len({terms for _, terms, _ in verify._PAIR_MARGINS[check] if len(terms) > 1})
 
 
@@ -857,6 +891,34 @@ def test_non_finite_screen_bound_names_the_instance(monkeypatch):
         "non-finite margin reverse_ratio in check reverse_ratio instance "
         "(seed=0, index=5, dim=3, nu=0.0)"
     ]
+
+
+@pytest.mark.parametrize("scalar", ["specht_ratio", "log_mean"])
+def test_non_finite_constant_in_round_two_names_the_instance(monkeypatch, scalar):
+    # a NaN Specht ratio or logarithmic mean at instance 5 makes its
+    # constants c and the bounds of its margins c - lambda_max NaN; the
+    # margins of every instance still go through both rounds of the screen,
+    # and only instance 5 is named
+    real = getattr(verify, scalar)
+    sizes = []
+
+    def nan_at_fifth(*args):
+        value = np.array(real(*args), dtype=float)
+        value[5] = np.nan
+        return value
+
+    def keep(stack):
+        sizes.append(len(stack))
+        return matrices._eigvals_stack(stack)
+
+    monkeypatch.setattr(verify, scalar, nan_at_fifth)
+    monkeypatch.setattr(verify, "_eigvals_stack", keep)
+    report = run_suite(SuiteConfig(trials=64, dims=(4,), checks=("reverse_difference",)))
+    assert [e["message"] for e in report.errors] == [
+        "non-finite margin reverse_difference in check reverse_difference instance "
+        "(seed=0, index=5, dim=4, nu=0.0)"
+    ]
+    assert len(sizes) == 2
 
 
 def test_pair_frames_make_one_svd_and_no_vector_eigensolve(monkeypatch):
