@@ -37,28 +37,29 @@ names the check, a failed margin eigensolve its stack size.
 
 Each pair margin is a row of _PAIR_MARGINS: the smallest eigenvalue of a
 margin matrix, or a constant minus its largest, and the matrix is one list
-of signed terms that gives both its frame diagonal and the matrix itself.
-The kernel brackets every margin from that diagonal and solves, by
-matrices._eigvals_stack (LAPACK, no eigenvectors, lower triangle only; the
-terms are symmetric, so every matrix is exactly symmetric), only those that
-can be their check's worst or a violation: a report entry is the worst over
-all of a check's names, so a margin above a sibling name's upper bound is
-never read.  It solves them in two rounds.  The first solves one anchor
-weight per margin matrix and instance; by Weyl's theorem the anchor's
-eigenvalues then bound the matrix at every other weight of the instance,
-within the frame bracket of the difference of the two frame diagonals, and
-the second round solves only the margins that these tighter bounds leave
-undecided.  Elsewhere a margin array holds a certified lower bound, so the
-worst margin, its instance and the violation count are those of solving them
-all.  The check_* functions report every name's margin and screen each name
-against its own worst, so they solve their one matrix per name always, in
-the first round.  The state-vector margins need one LAPACK
-eigendecomposition per chunk (matrices._eigvecs_stack).
+of signed terms whose frame diagonal d and coefficient of I (the shift) give
+it in its frame form W diag(d) W^T + shift I.  The kernel brackets every
+margin from d and solves, by matrices._eigvals_stack (LAPACK, no
+eigenvectors, lower triangle only; each frame form is symmetrized, so it is
+exactly symmetric), only those that can be their check's worst or a
+violation: a report entry is the worst over all of a check's names, so a
+margin above a sibling name's upper bound is never read.  A row whose d is
+exactly 0 is exactly shift I and needs no eigensolve.  The kernel solves in
+two rounds.  The first solves one anchor weight per margin matrix and
+instance; by Weyl's theorem the anchor's eigenvalues then bound the matrix
+at every other weight of the instance, within the frame bracket of the
+difference of the two frame diagonals, and the second round solves only the
+margins that these tighter bounds leave undecided.  Elsewhere a margin array
+holds a certified lower bound, so the worst margin, its instance and the
+violation count are those of solving them all.  The check_* functions report
+every name's margin and screen each name against its own worst, so they
+solve their one matrix per name in the first round, unless its d is 0.  The
+state-vector margins need one LAPACK eigendecomposition per chunk
+(matrices._eigvecs_stack).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -78,12 +79,10 @@ from .matrices import (
 )
 from .means import (
     SpdPair,
-    _arithmetic_stack,
     _bridge,
     _diagonalize_pairs,
     _geometric_stacks,
     _harmonic_diag,
-    _harmonic_stack,
     _pair_frame,
     _recon,
     _require_nu,
@@ -125,11 +124,12 @@ CHECK_IDS = {
 CHECK_NAMES = tuple(CHECK_IDS)
 
 # The margins of the pair checks: per check, rows (name, matrix, c).  A
-# matrix is a tuple of signed terms (sign, coefficient, operand) summed in
-# their order (which fixes its last bits), and its margin is lambda_min, or
-# c - lambda_max where a constant c is named.  The operands are the means am,
-# gm and hm, the refined harmonic route rhm, the bridge (A+B)/2 - A #_(1/2) B
-# and I; _pair_margins defines the coefficients and constants.
+# matrix is a tuple of signed terms (sign, coefficient, operand) whose frame
+# diagonals are summed in their order (which fixes its last bits), and its
+# margin is lambda_min, or c - lambda_max where a constant c is named.  The
+# operands are the means am, gm and hm, the refined harmonic route rhm, the
+# bridge (A+B)/2 - A #_(1/2) B and I, whose coefficient is the shift of the
+# frame form; _pair_margins defines the coefficients and constants.
 _AM_GM_BRIDGE = (("+", None, "am"), ("-", None, "gm"), ("-", "two_r", "bridge"))
 _PAIR_MARGINS = {
     "refined_chain": (
@@ -432,13 +432,14 @@ class _Accumulator:
         )
 
 
-# The screen's slack per unit of dimension and of operand size.  By Weyl's
-# theorem it must cover the frame residuals that _diagonalize_pairs is held
-# to (A = W W^T within 8 n eps ||A||, B = W diag(t) W^T within
-# 8 n eps sqrt(h) ||B||), the roundoff of forming a margin matrix and
-# LAPACK's backward error; tests/test_verify.py checks that every solved
-# margin stays inside the widened bounds of both rounds of the screen from
-# h = 10 to 1e10.
+# The screen's slack per unit of dimension.  It widens the frame spectra by
+# the residuals that _diagonalize_pairs is held to (A = W W^T within
+# 8 n eps ||A||, B = W diag(t) W^T within 8 n eps sqrt(h) ||B||), and by
+# Weyl's theorem the margin bounds by 8 n eps (||A|| max |d| + |shift|), which
+# covers the roundoff of forming W diag(d) W^T, LAPACK's backward error and
+# the rounding of the shift added to its eigenvalues; tests/test_verify.py
+# checks that every solved margin stays inside the widened bounds of both
+# rounds of the screen from h = 10 to 1e10.
 _SCREEN_SLACK = 8.0 * np.finfo(float).eps
 
 
@@ -478,23 +479,23 @@ def _candidates(lo, hi, tols, group):
     return ~(lo > np.maximum(least[:, None, None], -tols))
 
 
-def _screen(d, size, shift, margins, frame, t, tols, solve):
+def _screen(d, shift, margins, frame, t, tols, solve):
     """N eigenvalue margins (N, P, J) of K margin matrices: solved where they
     can be their group's worst or a violation, a certified lower bound
     elsewhere.
 
-    Matrix k is W diag(d[k]) W^T + shift[k] I up to roundoff, with d and size
-    (K, n, P, J), size the sums of the magnitudes of the terms of d, and shift
-    (K, P, J).  margins holds (k, c, g) per margin: lambda_min of matrix k,
-    or c (P, 1) - lambda_max when c is given, screened against the worst of
-    the margins that share its group g.  t is (n, P, 1) and tols (P, 1).
-    solve(need, lam) writes lambda_min and lambda_max of matrix k on each
-    table row where need[k] (P * J) holds into lam[:, k] (2, K, P * J).
+    Matrix k is W diag(d[k]) W^T + shift[k] I up to roundoff, with d
+    (K, n, P, J) and shift (K, P, J).  margins holds (k, c, g) per margin:
+    lambda_min of matrix k, or c (P, 1) - lambda_max when c is given,
+    screened against the worst of the margins that share its group g.  t is
+    (n, P, 1) and tols (P, 1).  solve(need, lam) writes lambda_min and
+    lambda_max of matrix k on each table row where need[k] (P * J) holds
+    into lam[:, k] (2, K, P * J).
 
     The bounds of _eig_bracket are widened by the slack
-    8 n eps ((1 + sqrt(h)) ||A|| max_i size_i + |shift|), and by 8 n eps |c|
-    for c - lambda_max, and the margins that are _candidates are solved in
-    two rounds.  Round 1 solves one anchor weight a per matrix and instance
+    8 n eps (||A|| max_i |d_i| + |shift|), and by 8 n eps |c| for
+    c - lambda_max, and the margins that are _candidates are solved in two
+    rounds.  Round 1 solves one anchor weight a per matrix and instance
     among them: the one with the largest upper bound of lambda_max where a
     margin reads c - lambda_max of the matrix, else the one with the smallest
     lower bound of lambda_min.  By Weyl's theorem (Horn and Johnson, Matrix
@@ -512,7 +513,7 @@ def _screen(d, size, shift, margins, frame, t, tols, solve):
     widen[1] *= np.sqrt(h)
     low, top = frame["low"] - widen, frame["top"] + widen
     lo, hi = _eig_bracket(d, t, low, top)
-    slack = (unit * (1.0 + np.sqrt(h)) * frame["top_a"])[:, None] * size.max(axis=1) + unit * np.abs(shift)
+    slack = unit * (frame["top_a"][:, None] * np.abs(d).max(axis=1) + np.abs(shift))
     lo = lo - slack + shift
     hi = hi + slack + shift
     name_k = np.array([k for k, _, _ in margins])
@@ -577,17 +578,17 @@ def _screen(d, size, shift, margins, frame, t, tols, solve):
     return np.where(solved[name_k], value, name_lo)
 
 
-def _sum_terms(terms, operand, coefficient, signed=True):
+def _sum_terms(terms, operand, coefficient):
     """The sum of a margin matrix's terms (sign, coefficient, operand) in
     their order, each coefficient(name) * operand(op), or operand(op) where
-    it names no coefficient.  A term whose operand(op) is None adds nothing,
-    and with signed=False every term is added; 0.0 if no term adds."""
+    it names no coefficient.  A term whose operand(op) is None adds nothing;
+    0.0 if no term adds."""
     total = None
     for sign, name, op in terms:
         x = operand(op)
         if x is not None:
             x = x if name is None else coefficient(name) * x
-            minus = signed and sign == "-"
+            minus = sign == "-"
             total = (-x if minus else x) if total is None else (total - x if minus else total + x)
     return 0.0 if total is None else total
 
@@ -611,33 +612,33 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label, by_name=False):
     t^(1-nu) > 0, so, like every operand's, it is defined for every t > 0.
 
     The margins are the checks' rows of _PAIR_MARGINS.  _sum_terms sums a
-    matrix's one term list over its operands' frame diagonals (d), their
-    term sizes, the coefficient of I (the shift) and the operand matrices,
-    which make W diag(d) W^T + shift I up to roundoff.  _screen bounds each
-    margin from d and solves those that can be their check's worst over the
-    table (the worst over all of its names) or a violation, in two rounds:
-    the anchor weights, then what the Weyl bounds from the anchors leave.
-    Each round's matrices are formed, on the rows it solves, and solved in
-    one _eigvals_stack call; where every candidate is an anchor there is no
-    second call.  A matrix that two checks share is kept where either needs
-    it.  Every other margin is reported as its lower bound, above its
-    check's worst and above -tol, so the worst margin, its instance and the
-    violation count are those of solving all.  With by_name, each margin is
-    screened against its own name's worst instead, so that at one
-    (instance, nu) every margin is solved.
+    matrix's one term list over its operands' frame diagonals (d) and over
+    the coefficient of I (the shift).  _screen bounds each margin from d and
+    solves those that can be their check's worst over the table (the worst
+    over all of its names) or a violation, in two rounds: the anchor
+    weights, then what the Weyl bounds from the anchors leave.  Each round
+    forms W diag(d) W^T on the rows it solves in one batched product, solves
+    them in one _eigvals_stack call and adds the shift to their eigenvalues;
+    a row whose d is exactly 0 is reported as its shift without an
+    eigensolve, and a round with no other row makes no call.  A matrix that
+    two checks share is kept where either needs it.  Every other margin is
+    reported as its lower bound, above its check's worst and above -tol, so
+    the worst margin, its instance and the violation count are those of
+    solving all.  With by_name, each margin is screened against its own
+    name's worst instead, so that at one (instance, nu) every margin is
+    solved.
     """
-    a, b, w, t = frame["a"], frame["b"], frame["w"], frame["t"]
+    w, t = frame["w"], frame["t"]
     p_count, j_count = nus.shape
     r = np.minimum(nus, 1.0 - nus)
     # the per-pair values as (P, 1) columns of the table
     m, big_m, top_a = m[:, None], big_m[:, None], frame["top_a"][:, None]
     h = big_m / m
     tols = rel_tol * frame["scale"][:, None]
-    bridge = _bridge(frame, _geometric_stacks(w, t, np.full((p_count, 1), 0.5))[:, 0])
     t_i = t.T[:, :, None]  # (n, P, 1), with the index i of the frame diagonals first
 
     # the coefficients and constants, (P, 1) or (P, J), and each operand's
-    # frame diagonal with the sizes of its terms, (n, P, J); I has neither
+    # frame diagonal, (n, P, J); I has none
     value = _lazy({
         "two_r": lambda: 2.0 * r,
         "s_root": lambda: specht_ratio(np.sqrt(h)),
@@ -645,59 +646,44 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label, by_name=False):
         "c_global": lambda: h * np.sqrt(big_m) * log_mean(np.sqrt(big_m), np.sqrt(m)) * np.log(value("s_root")),
         "c_tight": lambda: np.sqrt(h) * log_mean(np.sqrt(h), 1.0) * np.log(value("s_root")) * top_a,
         "c_diff": lambda: h * log_mean(m, big_m) * np.log(value("s_full")),
-        "am": lambda: ((1.0 - nus) + nus * t_i,) * 2,
-        "gm": lambda: (np.power(t_i, nus),) * 2,
-        "bridge": lambda: (0.5 * (1.0 - np.sqrt(t_i)) ** 2, 0.5 * (1.0 + np.sqrt(t_i)) ** 2),
-        "rhm": lambda: (t_i / (t_i ** (1.0 - nus) + r * (np.sqrt(t_i) - 1.0) ** 2),) * 2,
-        "hm": lambda: (_harmonic_diag(t_i, nus),) * 2,
-        "I": lambda: (None, None),
+        "am": lambda: (1.0 - nus) + nus * t_i,
+        "gm": lambda: np.power(t_i, nus),
+        "bridge": lambda: 0.5 * (1.0 - np.sqrt(t_i)) ** 2,
+        "rhm": lambda: t_i / (t_i ** (1.0 - nus) + r * (np.sqrt(t_i) - 1.0) ** 2),
+        "hm": lambda: _harmonic_diag(t_i, nus),
+        "I": lambda: None,
     })
     specs = [(check,) + row for check in checks for row in _PAIR_MARGINS[check]]
     mats = list(dict.fromkeys(terms for _, _, terms, _ in specs if len(terms) > 1))
     screened = [(mats.index(terms), c and value(c), (check, name) if by_name else check)
                 for check, name, terms, c in specs if len(terms) > 1]
-    d = np.stack([_sum_terms(terms, lambda op: value(op)[0], value) for terms in mats])
-    size = np.stack([_sum_terms(terms, lambda op: value(op)[1], lambda name: np.abs(value(name)), signed=False)
-                     for terms in mats])
+    d = np.stack([_sum_terms(terms, value, value) for terms in mats])
     # the shift is the coefficient of I; a one-term matrix c X over the
-    # weight-free bridge (refined_gm_vs_gm) has the margin c lambda_min(X)
+    # weight-free bridge (refined_gm_vs_gm) has the margin c lambda_min(X),
+    # with X = (A + B)/2 - A #_(1/2) B formed from the pair
     shift = np.zeros((len(mats), p_count, j_count))
     for k, terms in enumerate(mats):
         shift[k] = _sum_terms(terms, {"I": 1.0}.get, value)
-    lowest = _lazy({"bridge": lambda: _eigvals_min_stack(bridge)[:, None]})
+    half = np.full((p_count, 1), 0.5)
+    lowest = _lazy({
+        "bridge": lambda: _eigvals_min_stack(_bridge(frame, _geometric_stacks(w, t, half)[:, 0]))[:, None],
+    })
     exact = {spec[:2]: _sum_terms(spec[2], lowest, value) for spec in specs if len(spec[2]) == 1}
 
     def solve(need, lam):
-        # the operands on every row that some matrix needs, made before the
-        # stack so that their temporaries and the stack are not held at once;
-        # then each matrix there, kept where it is needed
-        rows = np.flatnonzero(need.any(axis=0))
-        kept = need[:, rows]
-        counts = kept.sum(axis=1).tolist()
-        p, j = np.divmod(rows, j_count)
-        nu_rows = nus[p, j][:, None]
-        used = {op for k, terms in enumerate(mats) if counts[k] for _, _, op in terms}
-        formers = {
-            "am": lambda: _arithmetic_stack(a[p], b[p], nu_rows)[:, 0],
-            "gm": lambda: _geometric_stacks(w[p], t[p], nu_rows)[:, 0],
-            "rhm": lambda: _sym(_recon(w[p], value("rhm")[0][:, p, j].T)),
-            "hm": lambda: _harmonic_stack(w[p], t[p], nu_rows)[:, 0],
-            "bridge": lambda: bridge[p],
-            "I": lambda: np.eye(a.shape[-1]),
-        }
-        ops = {op: form() for op, form in formers.items() if op in used}
-
-        def at_rows(x):
-            return x[p, j if x.shape[1] > 1 else 0]
-
-        starts = [0, *itertools.accumulate(counts)]
-        stack = np.empty((starts[-1],) + a.shape[1:])
-        for k, terms in enumerate(mats):
-            if counts[k]:
-                matrix = _sum_terms(terms, ops.get, lambda name: at_rows(value(name))[:, None, None])
-                np.compress(kept[k], matrix, axis=0, out=stack[starts[k]:starts[k + 1]])
-                del matrix
-        del ops  # so that the eigensolve's peak memory holds the stack alone
+        # the kept matrices W diag(d) W^T in one batched frame product, and
+        # their eigenvalues plus the shift: lambda(X + c I) = lambda(X) + c,
+        # which rounds c once instead of into every diagonal entry.  A row
+        # whose d is exactly 0 is exactly shift I, so its margins are its shift
+        k, flat = np.nonzero(need)
+        p, j = np.divmod(flat, j_count)
+        diag, row_shift = d[k, :, p, j], shift[k, p, j]
+        zero = ~diag.any(axis=1)
+        lam[:, k[zero], flat[zero]] = row_shift[zero]
+        keep = ~zero
+        if not keep.any():
+            return
+        stack = _sym(_recon(w[p[keep]], diag[keep]))
 
         # one eigensolve; a matrix with a non-finite entry gets NaN margins
         try:
@@ -709,12 +695,11 @@ def _pair_margins(checks, frame, m, big_m, nus, rel_tol, label, by_name=False):
             ends = np.full((len(stack), 2), np.nan)
             if finite.any():
                 ends[finite] = _eigvals_stack(stack[finite])[:, [0, -1]]
-        k, i = np.nonzero(kept)  # in the order of the stack
-        lam[:, k, rows[i]] = ends.T
+        lam[:, k[keep], flat[keep]] = ends.T + row_shift[keep]
 
     # each screened margin: solved where the screen needs it, its lower bound
     # elsewhere
-    flat = _screen(d, size, shift, screened, frame, t_i, tols, solve)
+    flat = _screen(d, shift, screened, frame, t_i, tols, solve)
     solved = iter(flat)
     result = {check: ({}, tols) for check in checks}
     for check, name, terms, _ in specs:

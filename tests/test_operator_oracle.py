@@ -162,8 +162,8 @@ def test_reverse_ratio_matches_high_precision_oracle_at_large_h(seed, dim, nu, h
 @pytest.mark.parametrize("seed,dim,nu", [(3, 2, 0.4), (4, 3, 0.7), (6, 4, 0.3), (7, 4, 0.5), (8, 3, 1.0)])
 def test_chain_margins_match_high_precision_oracle_at_large_h(seed, dim, nu, h):
     # t spans about h^2 here, beyond any inversion floor; the division-free
-    # harmonic diagonals keep every name of the chain within 1.3e-4 of the
-    # tolerance at h = 1e8 and 6.2e-4 at 1e10.  At 50 digits the
+    # harmonic diagonals keep every name of the chain within 2.9e-5 of the
+    # tolerance at h = 1e8 and 2.9e-4 at 1e10.  At 50 digits the
     # oracle's own gm_vs_refined_hm reads -7.8e-24 at nu = 1, where it
     # vanishes identically, so its sign is asserted only to 1e-20 scale
     pair = gen_spd_pair(dim, 1.0, h, np.random.default_rng(seed))

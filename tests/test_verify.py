@@ -624,14 +624,20 @@ def test_cholesky_names_the_first_zero_pivot():
 
 
 def test_margin_eigensolve_failure_is_a_chunk_error(monkeypatch):
-    # the state-vector check needs no eigvalsh call, so it still runs
+    # LAPACK fails on the margin stack alone, after the frame is built, and
+    # the state-vector check needs no margin eigensolve, so it still runs
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    def failing(stack):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", no_convergence)
+            return matrices._eigvals_stack(stack)
+
+    monkeypatch.setattr(verify, "_eigvals_stack", failing)
     _assert_only_reverse_ratio_refused(
         run_suite(SuiteConfig(trials=8, dims=(2,), checks=("reverse_ratio", "holder_mccarthy"))),
-        "eigenvalues failed (Eigenvalues did not converge) in a stack of 16",
+        "eigenvalues failed (Eigenvalues did not converge) in a stack of 1",
     )
 
 
@@ -688,16 +694,28 @@ def test_screen_sends_few_margin_matrices_to_lapack(monkeypatch):
     # a deterministic guard on the screen: solving every margin of the
     # default suite sends 193,000 matrices to LAPACK (frames and bridges
     # included); the screen with Weyl bounds from one anchor weight per
-    # matrix and instance sends 23,331, about 3% under the bound.  The
-    # Ostrowski bounds alone sent 30,671, and against each name's own worst
-    # 45,947
-    assert sum(_lapack_counts(monkeypatch, SuiteConfig()).values()) <= 24_000
+    # matrix and instance, on the frame form with its zero rows exact, sends
+    # 13,879 (8,000 frames, 1,000 bridges, 4,879 margins), about 4% under
+    # the bound.  Matrices formed from operands sent 23,331, the Ostrowski
+    # bounds alone 30,671, and against each name's own worst 45,947
+    assert sum(_lapack_counts(monkeypatch, SuiteConfig()).values()) <= 14_500
 
 
 def test_screen_sends_few_large_margin_matrices_to_lapack(monkeypatch):
-    # at n = 12 the screen sends 2,021, about 4% under the bound (2,941 from
-    # the Ostrowski bounds alone, 4,166 against each name's worst)
-    assert sum(_lapack_counts(monkeypatch, SuiteConfig(trials=64, dims=(12,))).values()) <= 2_100
+    # at n = 12 the screen sends 1,478 (512 frames, 64 bridges, 902
+    # margins), about 5% under the bound (2,021 with matrices formed from
+    # operands, 2,941 from the Ostrowski bounds alone, 4,166 against each
+    # name's worst)
+    assert sum(_lapack_counts(monkeypatch, SuiteConfig(trials=64, dims=(12,))).values()) <= 1_550
+
+
+def test_refined_chain_solves_few_margins(monkeypatch):
+    # refined_chain's four screened links have frame diagonals exactly 0 at
+    # nu in {0, 1}, so 8,000 of their rows are exact and none is solved: the
+    # default suite sends 548 of its margin matrices to LAPACK, about 9%
+    # under the bound (10,000 when every endpoint row was solved)
+    solved = _lapack_counts(monkeypatch, SuiteConfig(checks=("refined_chain",)))
+    assert solved[verify.__name__] <= 600
 
 
 @pytest.mark.parametrize("cfg,bound", [(SuiteConfig(), 4_400), (SuiteConfig(trials=64, dims=(12,)), 410)],
@@ -808,8 +826,10 @@ def test_screened_pair_calls_match_solving_every_margin(monkeypatch):
 
 def test_check_functions_solve_every_screened_margin(monkeypatch):
     # check_* report every name's margin at their one (instance, nu), so each
-    # name is screened against its own worst: all four screened matrices of
-    # refined_chain (refined_gm_vs_gm is exact) reach LAPACK in one stack
+    # name is screened against its own worst: inside (0, 1) all four screened
+    # matrices of refined_chain (refined_gm_vs_gm is exact) reach LAPACK in
+    # one stack, and at nu in {0, 1} their frame diagonals are exactly 0, so
+    # none does
     sizes = []
 
     def keep(stack):
@@ -819,35 +839,57 @@ def test_check_functions_solve_every_screened_margin(monkeypatch):
     monkeypatch.setattr(verify, "_eigvals_stack", keep)
     for h in (10.0, 1e8):
         pair = gen_spd_pair(4, 1.0, h, rng_for(0, "refined_chain", 0))
-        for nu in (0.0, 0.3, 0.5, 1.0):
+        for nu, want in ((0.0, []), (0.3, [4]), (0.5, [4]), (1.0, [])):
             sizes.clear()
             check_refined_chain(pair, nu)
-            assert sizes == [4], (h, nu)
+            assert sizes == want, (h, nu)
+
+
+def test_refined_chain_is_exactly_zero_at_the_endpoint_weights(monkeypatch):
+    # at nu in {0, 1} every link of the chain vanishes identically, and its
+    # frame diagonal is 0 in IEEE arithmetic (t - t, t / t - 1): each margin
+    # is exactly its shift, 0, with no eigensolve
+    def never(stack):
+        raise AssertionError(f"a stack of {len(stack)} reached LAPACK")
+
+    monkeypatch.setattr(verify, "_eigvals_stack", never)
+    for dim, h in ((2, 10.0), (4, 1e4), (8, 1e8), (12, 1e10)):
+        pair = gen_spd_pair(dim, 1.0, h, rng_for(0, "refined_chain", 0))
+        for nu in (0.0, 1.0):
+            margins = check_refined_chain(pair, nu).margins
+            for name in ("am_vs_refined_gm", "gm_vs_refined_hm", "refined_hm_vs_hm", "am_vs_gm"):
+                assert margins[name] == 0.0, (dim, h, nu, name)
 
 
 @pytest.mark.parametrize("h", [10.0, 1e4, 1e6, 1e8, 1e10])
 def test_each_margin_matrix_matches_its_frame_form(monkeypatch, h):
-    # the one assumption the screen rests on: every formed margin matrix is
-    # W diag(d) W^T + shift I within the screen's slack, in the 2-norm, for
-    # the d, size and shift that its term list gives.  Both rounds of the
-    # screen are checked: the stack of each solve(need, lam) call holds the
-    # matrices k where need[k] holds, k by k, in table order
+    # the one assumption the screen rests on: every margin matrix that
+    # reaches LAPACK is W diag(d) W^T for the frame's W and its table row's
+    # d, within the d part 8 n eps ||A|| max |d| of the screen's slack in the
+    # 2-norm, measured against an extended-precision product, and its
+    # reported eigenvalues are LAPACK's plus the row's shift; a row whose d
+    # is exactly 0 never reaches LAPACK and reports exactly its shift.  Both
+    # rounds of the screen are checked: the stack of each solve(need, lam)
+    # call holds the matrices k where need[k] holds and d is not 0, k by k,
+    # in table order
     seen = []
     real_screen = verify._screen
 
-    def capture(d, size, shift, margins, frame, t, tols, solve):
-        seen.append((d, size, shift, frame))
+    def capture(d, shift, margins, frame, t, tols, solve):
+        seen.append((d, shift, frame))
 
         def recorded(need, lam):
-            seen.append(need.copy())
-            return solve(need, lam)
+            calls.append((need.copy(), []))
+            solve(need, lam)
+            calls[-1] += (lam.copy(),)
 
-        return real_screen(d, size, shift, margins, frame, t, tols, recorded)
+        return real_screen(d, shift, margins, frame, t, tols, recorded)
 
     def keep(stack):
-        seen.append(stack)
+        calls[-1][1].append(stack)
         return matrices._eigvals_stack(stack)
 
+    calls = []
     _exhaustive(monkeypatch)
     monkeypatch.setattr(verify, "_screen", capture)
     monkeypatch.setattr(verify, "_eigvals_stack", keep)
@@ -855,24 +897,36 @@ def test_each_margin_matrix_matches_its_frame_form(monkeypatch, h):
         cfg = SuiteConfig(big_m=h, dims=(dim,)).validate()
         for check in verify.PAIR_CHECK_NAMES:
             seen.clear()
+            calls.clear()
             verify._eval_pair_chunk(cfg, check, dim, list(range(64)))
-            (d, size, shift, frame), *rounds = seen
-            assert len(rounds) == 4, (dim, check)  # (need, stack) of both rounds
-            w = frame["w"]
-            ideal = np.einsum("pik,zkpj,plk->zpjil", w, d, w) + shift[..., None, None] * np.eye(dim)
-            unit = verify._SCREEN_SLACK * dim
-            root_h = np.sqrt(frame["scale"] / frame["m_hat"])
-            slack = unit * ((1.0 + root_h) * frame["top_a"])[:, None] * size.max(axis=1) + unit * np.abs(shift)
-            solved = np.zeros(d.shape[:1] + d.shape[2:], dtype=bool)
-            for need, stack in zip(rounds[::2], rounds[1::2]):
-                need = need.reshape(solved.shape)
+            (d, shift, frame), = seen
+            wide = frame["w"].astype(np.longdouble)
+            zero = ~d.any(axis=1)
+            slack = verify._SCREEN_SLACK * dim * frame["top_a"][:, None] * np.abs(d).max(axis=1)
+            solved = np.zeros(zero.shape, dtype=bool)
+            assert len(calls) == 2, (dim, check)  # both rounds
+            for need, stacks, lam in calls:
+                need = need.reshape(zero.shape)
+                lam = lam.reshape((2,) + zero.shape)
                 assert not (need & solved).any()
                 solved |= need
-                error = np.linalg.norm(stack - ideal[need], 2, axis=(-2, -1))
-                assert (error <= slack[need]).all(), (dim, check, (error / slack[need]).max())
+                assert (lam[:, need & zero] == shift[need & zero]).all(), (dim, check)
+                k, p, j = np.nonzero(need & ~zero)
+                assert [len(stack) for stack in stacks] == ([len(k)] if len(k) else []), (dim, check)
+                if not len(k):
+                    continue
+                scaled = wide[p] * d[k, :, p, j].astype(np.longdouble)[:, None, :]
+                ideal = scaled @ wide[p].transpose(0, 2, 1)
+                error = np.linalg.norm((stacks[0] - ideal).astype(float), 2, axis=(-2, -1))
+                assert (error <= slack[k, p, j]).all(), (dim, check, (error / slack[k, p, j]).max())
+                ends = matrices._eigvals_stack(stacks[0])[:, [0, -1]].T + shift[k, p, j]
+                assert (lam[:, need & ~zero] == ends).all(), (dim, check)
             # every matrix on every row of the (P, J) table
             assert solved.all()
             assert len(d) == len({terms for _, terms, _ in verify._PAIR_MARGINS[check] if len(terms) > 1})
+            if check in ("refined_chain", "reverse_difference"):
+                # their matrices vanish at nu in {0, 1}: the grid's first and last weights
+                assert zero[:, :, [0, 20]].all(), (dim, check)
 
 
 def test_non_finite_screen_bound_names_the_instance(monkeypatch):
